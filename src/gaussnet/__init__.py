@@ -30,7 +30,6 @@ from .router import (
     broadcast,
     decide,
     route,
-    route_degree,
     secure_split,
     start_route,
     table_decision,

@@ -1,127 +1,29 @@
-"""Hot sweep kernels: numba-jitted with a pure-numpy fallback.
+"""Hot sweep kernel: one table lookup per (fault set, node).
 
-Set GAUSSNET_NO_NUMBA=1 to force the numpy path (it is also taken when
-numba is not importable).  Both implementations consume the same inputs:
+Inputs, from trees.reach_tables(k):
 
-  masks   uint64[n, 4, W]  bitset over node indices of each root path
-  depths  int16[n, 4]      path lengths (hops)
-  faults  int64[m, f]      node indices of each fault combination
-  root    int              root node index
+  B       uint8[n, n]   B[u, v]: trees whose root path to v contains u
+  LUT     uint8[n, 16]  LUT[v, mask]: best depth of v avoiding trees in mask
+  faults  int64[m, f]   node indices of each fault combination
 
-and return int16[m]: for each combination, 1 + the worst first-receipt
-round over live nodes, where a node's first receipt is the smallest depth
-among trees whose root path avoids every fault.
+It returns, for each combination, 1 + the worst first-receipt round over
+live nodes.  Faulty nodes (B[v, v] == 15) and the root read 0, so they drop
+out of the maximum without a separate step.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-ENGINE_ENV = "GAUSSNET_NO_NUMBA"
-_UNREACHED = np.int16(32000)
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENGINE_ENV, "").lower() in ("1", "true", "yes")
 
 
 def active_engine() -> str:
-    """Engine the sweep will use: "numba" or "numpy"."""
-    return "numba" if (HAVE_NUMBA and not numba_disabled_by_env()) else "numpy"
+    """Name of the sweep kernel, recorded with every result."""
+    return "lut"
 
 
-def sweep_rounds_numpy(
-    masks: np.ndarray, depths: np.ndarray, faults: np.ndarray, root: int
-) -> np.ndarray:
-    m, f = faults.shape
-    n, _, width = masks.shape
-    fault_masks = np.zeros((m, width), dtype=np.uint64)
-    if f:
-        rows = np.repeat(np.arange(m), f)
-        idx = faults.reshape(-1)
-        np.bitwise_or.at(
-            fault_masks,
-            (rows, idx >> 6),
-            np.uint64(1) << (idx & 63).astype(np.uint64),
-        )
-    worst = np.zeros(m, dtype=np.int16)
-    for v in range(n):
-        if v == root:
-            continue
-        hit = (masks[v][np.newaxis, :, :] & fault_masks[:, np.newaxis, :]).any(axis=2)
-        best = np.where(hit, _UNREACHED, depths[v][np.newaxis, :]).min(axis=1)
-        v_faulty = (fault_masks[:, v >> 6] >> np.uint64(v & 63)) & np.uint64(1)
-        best = np.where((v_faulty == 1) | (best == _UNREACHED), 0, best)
-        np.maximum(worst, best.astype(np.int16), out=worst)
-    return worst + np.int16(1)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _sweep_rounds_numba(masks, depths, faults, root):  # pragma: no cover
-        m, f = faults.shape
-        n = masks.shape[0]
-        width = masks.shape[2]
-        out = np.empty(m, dtype=np.int16)
-        fault_mask = np.zeros(width, dtype=np.uint64)
-        for r in range(m):
-            for w in range(width):
-                fault_mask[w] = 0
-            for q in range(f):
-                node = faults[r, q]
-                fault_mask[node >> 6] |= np.uint64(1) << np.uint64(node & 63)
-            worst = np.int16(0)
-            for v in range(n):
-                if v == root:
-                    continue
-                if fault_mask[v >> 6] & (np.uint64(1) << np.uint64(v & 63)):
-                    continue
-                best = _UNREACHED
-                for j in range(4):
-                    if depths[v, j] >= best:
-                        continue
-                    blocked = False
-                    for w in range(width):
-                        if masks[v, j, w] & fault_mask[w]:
-                            blocked = True
-                            break
-                    if not blocked:
-                        best = depths[v, j]
-                if best != _UNREACHED and best > worst:
-                    worst = best
-            out[r] = worst + 1
-        return out
-
-    def sweep_rounds_numba(masks, depths, faults, root):
-        return _sweep_rounds_numba(masks, depths, faults, root)
-
-else:  # pragma: no cover
-
-    def sweep_rounds_numba(masks, depths, faults, root):
-        raise RuntimeError("numba is not available")
-
-
-def sweep_rounds(
-    masks: np.ndarray,
-    depths: np.ndarray,
-    faults: np.ndarray,
-    root: int,
-    engine: str | None = None,
-) -> np.ndarray:
-    """Dispatch to the selected engine (default: active_engine())."""
-    engine = engine or active_engine()
-    if engine == "numba":
-        return sweep_rounds_numba(masks, depths, faults, root)
-    if engine == "numpy":
-        return sweep_rounds_numpy(masks, depths, faults, root)
-    raise ValueError(f"unknown engine {engine!r}")
+def sweep_rounds(B: np.ndarray, LUT: np.ndarray, faults: np.ndarray) -> np.ndarray:
+    """1 + max_v LUT[v, OR_q B[faults[:, q], v]] for every row of faults."""
+    blocked = np.zeros((len(faults), len(B)), dtype=np.uint8)
+    for q in range(faults.shape[1]):
+        blocked |= B[faults[:, q]]
+    return LUT[np.arange(len(B)), blocked].max(axis=1) + 1

@@ -8,7 +8,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import _kernels
 from .core import (
     GaussInt,
     ZERO,
@@ -19,7 +18,6 @@ from .core import (
     network,
     node_count,
     parse_node,
-    reduce,
     rho,
 )
 from .router import (
@@ -216,13 +214,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    faults = frozenset(parse_node(t) for t in args.faults.split(",")) \
-        if args.faults else frozenset()
-    root = parse_node(args.root)
+    faults = [parse_node(t) for t in args.faults.split(",")] if args.faults else []
+    if len(set(faults)) != len(faults):
+        raise ValueError(f"duplicate fault literal in {args.faults!r}")
     config = SimConfig(
-        k=args.k,
-        root=reduce(root, args.k),
-        faults=frozenset(reduce(f, args.k) for f in faults),
+        k=args.k, root=parse_node(args.root), faults=frozenset(faults)
     )
     sim = run(config)
     report = reachability_report(sim)
@@ -251,7 +247,6 @@ def _cmd_sweep(args) -> int:
                 sample=args.sample,
                 seed=args.seed,
                 workers=args.workers,
-                engine=args.engine,
             )
             stats[(k, f)] = st
             dt = time.perf_counter() - t0
@@ -263,7 +258,7 @@ def _cmd_sweep(args) -> int:
     Path(args.avg_out).write_text(sweep_table_csv(stats, ks, fs, "avg"))
     Path(args.max_out).write_text(sweep_table_csv(stats, ks, fs, "max"))
     meta_out = args.meta_out or args.avg_out + ".meta.json"
-    Path(meta_out).write_text(sweep_metadata(stats, engine=args.engine) + "\n")
+    Path(meta_out).write_text(sweep_metadata(stats) + "\n")
     return EXIT_OK
 
 
@@ -333,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, help="sampled runs per cell (default: exhaustive)")
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--engine", choices=["numba", "numpy"],
-                   default=None, help=f"default: {_kernels.active_engine()}")
     p.set_defaults(fn=_cmd_sweep)
     return parser
 

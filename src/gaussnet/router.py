@@ -10,16 +10,15 @@ most one of them, and the grid entry also names the tree being served.
 
 The grid is normative for this package: it is pinned by an exhaustive
 regression against the tree paths themselves (every route from the root
-must equal the corresponding tree path).  A second, degree-based decision
-engine exists for cross-validation only; parts of its source arithmetic
-are underspecified and it is known to diverge on wraparound destinations.
+must equal the corresponding tree path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .core import (
     GaussInt,
@@ -28,15 +27,14 @@ from .core import (
     RegionClass,
     ZERO,
     classify,
-    is_canonical,
-    diamond_nodes,
     direction_name,
     format_node,
+    network,
     reduce,
     rho,
     translate,
 )
-from .trees import build_tree, tree_path
+from .trees import MIN_TREE_K, reach_tables
 
 import json
 
@@ -209,15 +207,10 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
     return [translate(v, s, k) for v in rel]
 
 
-@lru_cache(maxsize=64)
-def _root_paths(k: int) -> dict[GaussInt, tuple[tuple[GaussInt, ...], ...]]:
-    """For each node, the four root paths (as node tuples), indexed by tree."""
-    trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
-    return {
-        v: tuple(tuple(tree_path(t, v)) for t in trees)
-        for v in diamond_nodes(k)
-        if v != ZERO
-    }
+# _DELIVERED[mask]: tree indices whose bit is clear in a 4-bit blocked mask
+_DELIVERED = tuple(
+    frozenset(j + 1 for j in range(4) if not mask >> j & 1) for mask in range(16)
+)
 
 
 def broadcast(
@@ -228,22 +221,23 @@ def broadcast(
     Returns, for every other node, the set of tree indices that delivered.
     With at most three faults every live node receives at least one copy.
     """
-    fault_set = frozenset(faults)
-    if len(fault_set) > 3:
+    if k < MIN_TREE_K:
+        raise ValueError(f"broadcast requires k >= {MIN_TREE_K}, got {k}")
+    rel_faults = {reduce(f - s, k) for f in faults}
+    if len(rel_faults) > 3:
         raise ValueError("at most 3 faults are tolerated")
-    if s in fault_set:
+    if ZERO in rel_faults:
         raise ValueError("the source cannot be faulty")
-    rel_faults = {reduce(f - s, k) for f in fault_set}
-    out: dict[GaussInt, set[int]] = {}
-    for rel_v, paths in _root_paths(k).items():
-        v = translate(rel_v, s, k)
-        delivered = set()
-        if rel_v not in rel_faults:
-            for j, path in enumerate(paths, start=1):
-                if not any(p in rel_faults for p in path[1:]):
-                    delivered.add(j)
-        out[v] = delivered
-    return out
+    net = network(k)
+    B, _ = reach_tables(k)
+    blocked = np.zeros(len(net), dtype=np.uint8)
+    for f in rel_faults:
+        blocked |= B[net.index(f)]
+    return {
+        translate(rel_v, s, k): set(_DELIVERED[mask])
+        for rel_v, mask in zip(net.nodes, blocked.tolist())
+        if rel_v != ZERO
+    }
 
 
 def secure_split(
@@ -305,75 +299,3 @@ def route_to_json(s: GaussInt, d: GaussInt, j: int, k: int) -> str:
         },
         indent=2,
     )
-
-
-# -- degree-based engine (cross-validation only) ------------------------------
-
-def _degree(v: GaussInt, j: int, k: int) -> int:
-    """1 + child count in tree j (root: child count)."""
-    tree = build_tree(j, k)
-    kids = tree.children()[v]
-    return len(kids) + (0 if v == tree.root else 1)
-
-
-def _fx(v: GaussInt) -> int:
-    # assumed meaning of the unspecified coordinate extractor: the real part
-    return v.x
-
-
-def _in_regions(v: GaussInt, k: int, names: set[str]) -> bool:
-    reg = classify(v, k)
-    if reg.cls is RegionClass.ORIGIN:
-        return False
-    return f"{reg.cls.value}{reg.quadrant}" in names
-
-
-def degree_decision(
-    c: GaussInt, d: GaussInt, recv_dir: GaussInt, j: int, k: int
-) -> GaussInt:
-    """Forwarding direction per the degree-based rules.
-
-    recv_dir points from the current node back toward the sender (the port
-    the packet arrived on).  The first rule's mod-k clause mixes signed
-    coordinates with a modulus; it is implemented verbatim and is the known
-    source of divergence from the tree paths.
-    """
-    r = (4 - j + 1) % 4
-    cr, dr = rho(c, r), rho(d, r)
-    deg = _degree(c, j, k)
-    if deg == 2:
-        return rho(recv_dir, 2)
-    if deg == 3:
-        ahead = rho(recv_dir, 3)
-        return ahead if reduce(c + ahead, k) == d else rho(recv_dir, 2)
-    cnd1 = (
-        not _in_regions(dr, k, {"R1", "Q1", "B3", "P3", "S3"})
-        and _fx(cr) % k != (_fx(dr) + k) % k
-    )
-    cnd2 = (
-        _in_regions(dr, k, {"R2", "Q2", "B3", "P3", "S3"})
-        and _fx(cr) != _fx(dr) + k + 1
-    )
-    cnd3 = _fx(cr) + 1 == _fx(dr)
-    cnd4 = _in_regions(dr, k, {"R1", "Q1", "R3", "Q3", "B4", "P4", "S4"})
-    if cnd1 or cnd2 or cnd3:
-        return rho(recv_dir, 2)
-    if cnd4:
-        return rho(recv_dir, 3)
-    return rho(recv_dir, 1)
-
-
-def route_degree(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
-    """Route with the degree-based engine; may diverge from the tree path."""
-    first = start_route(s, d, j, k)
-    rel_d = reduce(d - s, k)
-    rel = [ZERO, reduce(first, k)]
-    recv = -first
-    while rel[-1] != rel_d:
-        step = degree_decision(rel[-1], rel_d, recv, j, k)
-        nxt = reduce(rel[-1] + step, k)
-        rel.append(nxt)
-        recv = -step
-        if len(rel) > 2 * k + 2:
-            raise RoutingError(f"degree-engine route did not terminate: {rel}")
-    return [translate(v, s, k) for v in rel]

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -37,12 +37,11 @@ from .core import (
     format_node,
     is_canonical,
     network,
-    node_count,
     reduce,
     rho,
     translate,
 )
-from .trees import build_tree, parent_child_spec, tree_path
+from .trees import build_tree, parent_child_spec, reach_tables
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -228,41 +227,6 @@ class SweepStats:
         return f"{float(self.avg_max):.3f}"
 
 
-@lru_cache(maxsize=32)
-def _path_tables(k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-node per-tree root-path bitsets and depths, for the kernels."""
-    net = network(k)
-    n = len(net)
-    width = (n + 63) >> 6
-    masks = np.zeros((n, 4, width), dtype=np.uint64)
-    depths = np.full((n, 4), _kernels._UNREACHED, dtype=np.int16)
-    root = net.index(ZERO)
-
-    def set_path(vi: int, j: int, nodes: Iterable[GaussInt], depth: int) -> None:
-        for q in nodes:
-            qi = net.index(q)
-            masks[vi, j, qi >> 6] |= np.uint64(1) << np.uint64(qi & 63)
-        depths[vi, j] = depth
-
-    if k == 1:
-        for v in net.nodes:
-            if v == ZERO:
-                continue
-            vi = net.index(v)
-            for j in range(4):
-                set_path(vi, j, (ZERO, v), 1)
-    else:
-        trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
-        for v in net.nodes:
-            if v == ZERO:
-                continue
-            vi = net.index(v)
-            for j in range(4):
-                p = tree_path(trees[j], v)
-                set_path(vi, j, p, len(p) - 1)
-    return masks, depths, root
-
-
 def _chunks(it, size: int):
     while True:
         block = list(itertools.islice(it, size))
@@ -295,23 +259,26 @@ def sweep(
     sample: int | None = None,
     seed: int | None = None,
     workers: int = 1,
-    engine: str | None = None,
-    chunk_size: int = 1 << 16,
+    chunk_size: int | None = None,
 ) -> SweepStats:
     """Run every fault combination (or a sampled budget) and aggregate steps.
 
     Exhaustive mode enumerates all C(n-1, faults) subsets of non-root nodes.
     Sampling draws `sample` independent uniform subsets.  Chunks of runs are
-    independent; with workers > 1 they execute on a thread pool (the numba
-    kernel releases the GIL) and are merged by sum/max, so results do not
-    depend on scheduling.
+    independent; with workers > 1 they execute on a thread pool and are
+    merged by sum/max, so results do not depend on scheduling.  By default a
+    chunk holds about 1 MiB of per-node kernel state.
     """
     if not 0 <= faults <= MAX_FAULTS:
         raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    masks, depths, root = _path_tables(k)
-    n = node_count(k)
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
+    B, LUT = reach_tables(k)
+    n = len(B)
+    root = network(k).index(ZERO)
+    chunk_size = chunk_size or max(1, (1 << 20) // n)
     others = np.array([i for i in range(n) if i != root], dtype=np.int64)
 
     if sample is None:
@@ -330,7 +297,7 @@ def sweep(
         )
 
     def run_block(block: np.ndarray) -> tuple[int, int, int]:
-        rounds = _kernels.sweep_rounds(masks, depths, block, root, engine=engine)
+        rounds = _kernels.sweep_rounds(B, LUT, block)
         return int(rounds.sum()), int(rounds.max()), len(rounds)
 
     total = mx = count = 0
@@ -378,12 +345,10 @@ def sweep_table_csv(
     return "\n".join(lines) + "\n"
 
 
-def sweep_metadata(
-    stats: Mapping[tuple[int, int], SweepStats], engine: str | None = None
-) -> str:
+def sweep_metadata(stats: Mapping[tuple[int, int], SweepStats]) -> str:
     payload = {
         "step_convention": STEP_CONVENTION,
-        "engine": engine or _kernels.active_engine(),
+        "engine": _kernels.active_engine(),
         "cells": [
             {
                 "alpha": alpha_label(st.k),

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
+import numpy as np
+
 from .core import (
     DIRECTIONS,
     GaussInt,
@@ -26,6 +28,7 @@ from .core import (
     direction_name,
     format_node,
     is_canonical,
+    network,
     node_count,
     reduce,
     rho,
@@ -188,6 +191,47 @@ def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
             raise AssertionError(f"parent chain from {v} exceeds height bound")
     path.reverse()
     return path
+
+
+@lru_cache(maxsize=32)
+def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fault-reach tables over the indices of network(k).nodes.
+
+    B[u, v] (uint8) is a 4-bit mask, bit j-1 for tree j, of the trees whose
+    root path to v contains u; both endpoints count, so B[v, v] == 15.
+    LUT[v, mask] (uint8) is the smallest depth of v among the trees not in
+    mask, or 0 when all four are blocked; the root's row is 0.  Under fault
+    set F node v first receives in round LUT[v, OR_{u in F} B[u, v]], and a
+    faulty v reads 0.  k = 1 is the complete 5-node network: every root path
+    is the single direct edge.
+    """
+    net = network(k)
+    n = len(net)
+    root = net.index(ZERO)
+    cols = np.arange(n)
+    B = np.zeros((n, n), dtype=np.uint8)
+    depth = np.zeros((n, 4), dtype=np.uint8)
+    for j in range(4):
+        parent = np.full(n, root)
+        if k > 1:
+            for v, (p, _) in build_tree(j + 1, k).parent.items():
+                parent[net.index(v)] = net.index(p)
+        anc = cols
+        while True:  # climb every node's root path one hop at a time
+            B[anc, cols] |= 1 << j
+            moving = anc != root
+            if not moving.any():
+                break
+            depth[:, j] += moving
+            anc = parent[anc]
+    unreached = np.iinfo(np.uint8).max
+    blocked = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
+    lut = np.where(blocked, unreached, depth[:, None, :]).min(axis=2)
+    lut[lut == unreached] = 0
+    lut = lut.astype(np.uint8)
+    for table in (B, lut):  # shared through the cache
+        table.setflags(write=False)
+    return B, lut
 
 
 # -- closed-form root paths for tree 1 ---------------------------------------

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The sweep criterion reproduces the reference step tables exhaustively for
-k = 1..9 and f = 0..3 (about 1.8 million runs) on the active kernel engine.
+k = 1..9 and f = 0..3 (about 1.8 million runs).
 """
 
 import itertools

@@ -138,3 +138,19 @@ def test_sweep_sampled(tmp_path):
                  "--seed", "7", "--avg-out", str(avg), "--max-out", str(mx)]) == EXIT_OK
     cell = avg.read_text().splitlines()[1].split(",")[1]
     assert abs(float(cell) - 3.515) < 0.2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k", "2", "--faults", "1", "--sample", "0"],
+    ["sweep", "--k", "2", "--faults", "1", "--sample=-1"],
+    ["simulate", "--k", "3", "--faults=100"],
+    ["simulate", "--k", "3", "--root=100"],
+    ["simulate", "--k", "3", "--faults=1,1"],
+])
+def test_bad_input_one_line_usage_error(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--avg-out", str(tmp_path / "a.csv"),
+                       "--max-out", str(tmp_path / "m.csv")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

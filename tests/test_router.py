@@ -10,7 +10,6 @@ from gaussnet.core import (
     diamond_nodes,
     parse_node,
     reduce,
-    rho,
     translate,
 )
 from gaussnet.router import (
@@ -19,7 +18,6 @@ from gaussnet.router import (
     decide,
     format_trace,
     route,
-    route_degree,
     secure_split,
     start_route,
     table_decision,
@@ -197,11 +195,39 @@ class TestBroadcast:
         for v, trees in base.items():
             assert shifted[translate(v, s, 3)] == trees
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_delivering_trees_oracle(self, k):
+        # tree j delivers to v exactly when its root path to v - s, past the
+        # source, avoids every fault taken relative to s
+        rng = random.Random(400 + k)
+        nodes = diamond_nodes(k)
+        paths = {
+            (j, v): tree_path(build_tree(j, k), v)[1:]
+            for j in (1, 2, 3, 4) for v in nodes if v != ZERO
+        }
+        for s in rng.sample(nodes, 4):
+            for _ in range(25):
+                faults = rng.sample([v for v in nodes if v != s], rng.randint(0, 3))
+                rel_faults = {reduce(f - s, k) for f in faults}
+                out = broadcast(s, faults, k)
+                assert set(out) == set(nodes) - {s}
+                for v, trees in out.items():
+                    rel_v = reduce(v - s, k)
+                    want = {
+                        j for j in (1, 2, 3, 4)
+                        if rel_faults.isdisjoint(paths[(j, rel_v)])
+                    }
+                    assert trees == want, f"k={k} s={s} faults={faults} v={v}"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             broadcast(ZERO, (n("1"), n("2"), n("i"), n("-i")), 3)
         with pytest.raises(ValueError):
             broadcast(n("1"), (n("1"),), 3)
+        with pytest.raises(ValueError):  # 3+4i is alpha, the source mod alpha
+            broadcast(ZERO, (GaussInt(3, 4),), 3)
+        with pytest.raises(ValueError):
+            broadcast(ZERO, (), 1)
 
 
 class TestSecureSplit:
@@ -228,33 +254,3 @@ class TestSecureSplit:
         parts = secure_split(ZERO, n("1"), 3, b"xyzw")
         lengths = sorted(len(path) - 1 for _, path in parts)
         assert lengths[0] == 1
-
-
-class TestDegreeEngine:
-    """Cross-validation of the degree-based rules against the tree paths.
-
-    The source arithmetic for the degree-4 branch is underspecified; the
-    verbatim implementation agrees on most routes and never silently delivers
-    a wrong path: every divergence trips the non-termination guard.
-    """
-
-    @pytest.mark.parametrize("k,expected_agree", [(2, 40), (3, 80)])
-    def test_agreement_and_loud_failures(self, k, expected_agree):
-        agree = 0
-        diverging = set()
-        for v in diamond_nodes(k):
-            if v == ZERO:
-                continue
-            for j in (1, 2, 3, 4):
-                want = tree_path(build_tree(j, k), v)
-                try:
-                    got = route_degree(ZERO, v, j, k)
-                except RoutingError:
-                    diverging.add((v, j))
-                    continue
-                assert got == want, f"silent wrong delivery for {v} tree {j}"
-                agree += 1
-        assert agree == expected_agree
-        # the divergence set respects the quarter-turn symmetry
-        for v, j in diverging:
-            assert (rho(v, 1), j % 4 + 1) in diverging

@@ -1,4 +1,4 @@
-"""Synchronous construction runs, fault sweeps, and kernel engines."""
+"""Synchronous construction runs, fault sweeps, and the sweep kernel."""
 
 import itertools
 import json
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gaussnet import _kernels
-from gaussnet.core import GaussInt, ZERO, diamond_nodes, parse_node, reduce
+from gaussnet.core import GaussInt, ZERO, diamond_nodes, network, parse_node, reduce
 from gaussnet.simulator import (
     SimConfig,
     SimulationError,
@@ -21,7 +21,7 @@ from gaussnet.simulator import (
     sweep_table_csv,
     region_resolution_check,
 )
-from gaussnet.trees import build_tree, tree_path
+from gaussnet.trees import build_tree, reach_tables, tree_path
 
 
 def n(text: str) -> GaussInt:
@@ -189,12 +189,6 @@ class TestSweep:
         st = sweep(4, 0)
         assert st.runs == 1 and st.avg_max == 5 and st.max_max == 5
 
-    def test_engines_agree(self):
-        a = sweep(3, 2, engine="numpy")
-        if _kernels.HAVE_NUMBA:
-            b = sweep(3, 2, engine="numba")
-            assert (a.avg_max, a.max_max, a.runs) == (b.avg_max, b.max_max, b.runs)
-
     def test_workers_merge(self):
         seq = sweep(3, 2, workers=1)
         par = sweep(3, 2, workers=3, chunk_size=64)
@@ -211,21 +205,20 @@ class TestSweep:
     def test_kernel_matches_run(self):
         import numpy as np
 
-        from gaussnet.simulator import _path_tables
-
         rng = random.Random(31)
-        nodes = [v for v in diamond_nodes(4) if v != ZERO]
-        idx = {v: i for i, v in enumerate(diamond_nodes(4))}
-        masks, depths, root = _path_tables(4)
-        for f in (0, 1, 2, 3):
-            for _ in range(10):
-                faults = frozenset(rng.sample(nodes, f))
-                sim = run(SimConfig(k=4, faults=faults))
-                block = np.array(
-                    sorted(idx[v] for v in faults), dtype=np.int64
-                ).reshape(1, f)
-                rounds = _kernels.sweep_rounds(masks, depths, block, root)
-                assert int(rounds[0]) == sim.last_active_round
+        for k in range(1, 7):
+            net = network(k)
+            nodes = [v for v in net.nodes if v != ZERO]
+            B, LUT = reach_tables(k)
+            for f in (0, 1, 2, 3):
+                for _ in range(10):
+                    faults = frozenset(rng.sample(nodes, f))
+                    sim = run(SimConfig(k=k, faults=faults))
+                    block = np.array(
+                        sorted(net.index(v) for v in faults), dtype=np.int64
+                    ).reshape(1, f)
+                    rounds = _kernels.sweep_rounds(B, LUT, block)
+                    assert int(rounds[0]) == sim.last_active_round, (k, faults)
 
     def test_no_state_leak_between_calls(self):
         first = sweep(2, 2)
@@ -238,6 +231,9 @@ class TestSweep:
             sweep(3, 4)
         with pytest.raises(ValueError):
             sweep(0, 1)
+        for sample in (0, -1):
+            with pytest.raises(ValueError):
+                sweep(3, 2, sample=sample)
 
 
 class TestOutputs:

@@ -9,6 +9,7 @@ from gaussnet.core import (
     ZERO,
     classify,
     diamond_nodes,
+    network,
     node_count,
     parse_node,
     rho,
@@ -19,6 +20,7 @@ from gaussnet.trees import (
     expand_word,
     parent_child_spec,
     path_word,
+    reach_tables,
     region_parent_map,
     tree1_edge_set,
     tree_path,
@@ -197,6 +199,33 @@ class TestIndependence:
                     tree_path(build_tree(j, k), v)[1] for j in (1, 2, 3, 4)
                 }
                 assert len(firsts) == 4
+
+
+class TestReachTables:
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_against_tree_paths(self, k):
+        net = network(k)
+        B, LUT = reach_tables(k)
+        for v in net.nodes:
+            vi = net.index(v)
+            paths = [tree_path(build_tree(j, k), v) for j in (1, 2, 3, 4)]
+            for u in net.nodes:
+                bits = sum(1 << j for j, p in enumerate(paths) if u in p)
+                assert B[net.index(u), vi] == bits
+            for mask in range(16):
+                depths = [len(p) - 1 for j, p in enumerate(paths)
+                          if not mask >> j & 1]
+                assert LUT[vi, mask] == min(depths, default=0)
+
+    def test_k1_direct_edges(self):
+        net = network(1)
+        B, LUT = reach_tables(1)
+        root = net.index(ZERO)
+        for i, v in enumerate(net.nodes):
+            assert B[i, i] == 15
+            if i != root:
+                assert B[root, i] == 15 and LUT[i, 0] == 1 and LUT[i, 15] == 0
+        assert not LUT[root].any()
 
 
 class TestExports:
