@@ -5,7 +5,8 @@ maximum possible for diameter k.  Nodes are the canonical residues modulo
 alpha_k, i.e. the lattice points of the diamond |x| + |y| <= k, which tile
 the plane under the alpha_k lattice and therefore form a complete residue
 system.  Two nodes are adjacent when their difference reduces to one of the
-four units +1, -1, +i, -i.
+four units +1, -1, +i, -i.  Since i = -(2k+1) mod alpha_k, Z[i]/(alpha_k) is
+Z/n and G_k is the circulant graph on Z/n with jumps 1 and 2k+1.
 """
 
 from __future__ import annotations
@@ -92,35 +93,22 @@ def is_canonical(z: GaussInt, k: int) -> bool:
     return z.l1() <= k
 
 
-def _round_div(a: int, b: int) -> int:
-    """Round a/b to the nearest integer, ties away from zero.  b > 0."""
-    if a >= 0:
-        return (2 * a + b) // (2 * b)
-    return -((-2 * a + b) // (2 * b))
+@lru_cache(maxsize=64)
+def _by_residue(k: int) -> tuple[GaussInt, ...]:
+    """The diamond node of each residue class, indexed by x - (2k+1)y mod n."""
+    n, m = node_count(k), 2 * k + 1
+    return tuple(sorted(diamond_nodes(k), key=lambda v: (v.x - m * v.y) % n))
 
 
 def reduce(z: GaussInt, k: int) -> GaussInt:
     """Canonical representative of z modulo alpha_k inside the diamond.
 
-    Rounding division gives a remainder of norm at most norm(alpha)/2, which
-    can still fall outside the diamond; the true quotient then differs from
-    the rounded one by at most 1 per component, so a search over the 3x3
-    quotient neighbourhood always finds the unique diamond representative.
+    (2k+1) + i = (1 - i) alpha_k, so x + yi = x - (2k+1)y mod alpha_k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    a = GaussInt(k, k + 1)
-    n = 2 * k * k + 2 * k + 1
-    t = z * a.conj()
-    qx = _round_div(t.x, n)
-    qy = _round_div(t.y, n)
-    for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-                   (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        q = GaussInt(qx + dx, qy + dy)
-        r = z - q * a
-        if abs(r.x) + abs(r.y) <= k:
-            return r
-    raise AssertionError(f"no diamond representative for {z!r} mod alpha_{k}")
+    table = _by_residue(k)
+    return table[(z.x - (2 * k + 1) * z.y) % len(table)]
 
 
 def rho(z: GaussInt, t: int = 1) -> GaussInt:
@@ -193,21 +181,18 @@ def _wedge_class(v: GaussInt, k: int) -> RegionClass | None:
     return None
 
 
-# Quadrant q regions are the images of quadrant 1 under rho^(q-1).  This
-# orientation is pinned by the routing regression tests: under it the
-# table-driven router reproduces every tree path, and -i lands in S4 with
-# parent -2i as the parent/child table requires.
-QUADRANT_SENSE = 1
-
-
 def classify(v: GaussInt, k: int) -> Region:
     """The unique region containing canonical v; rejects non-canonical input."""
     if not is_canonical(v, k):
         raise ValueError(f"{v} is not canonical for k={k}")
     if v == ZERO:
         return ORIGIN_REGION
+    # Quadrant q regions are the images of quadrant 1 under rho^(q-1).  This
+    # orientation is pinned by the routing regression tests: under it the
+    # table-driven router reproduces every tree path, and -i lands in S4 with
+    # parent -2i as the parent/child table requires.
     for q in range(4):
-        cls = _wedge_class(rho(v, -q * QUADRANT_SENSE), k)
+        cls = _wedge_class(rho(v, -q), k)
         if cls is not None:
             return Region(cls, q + 1)
     raise AssertionError(f"{v} not covered by any region (k={k})")

@@ -29,6 +29,7 @@ from .core import (
     classify,
     direction_name,
     format_node,
+    is_canonical,
     network,
     reduce,
     rho,
@@ -192,6 +193,9 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
 
     Equals the translate-by-s image of tree j's root path to d-s.
     """
+    for name, v in (("source", s), ("destination", d)):
+        if not is_canonical(v, k):
+            raise ValueError(f"{name} {v} is not canonical for k={k}")
     first = start_route(s, d, j, k)
     rel_d = reduce(d - s, k)
     rel = [ZERO, reduce(first, k)]
@@ -223,6 +227,10 @@ def broadcast(
     """
     if k < MIN_TREE_K:
         raise ValueError(f"broadcast requires k >= {MIN_TREE_K}, got {k}")
+    faults = tuple(faults)
+    for v in (s, *faults):
+        if not is_canonical(v, k):
+            raise ValueError(f"node {v} is not canonical for k={k}")
     rel_faults = {reduce(f - s, k) for f in faults}
     if len(rel_faults) > 3:
         raise ValueError("at most 3 faults are tolerated")

@@ -164,8 +164,11 @@ def run(config: SimConfig) -> SimRun:
         if v != ZERO:
             messages_per_round[r + 1] += 3
 
+    first_receipt: dict[GaussInt, int] = {}
     resolved: dict[GaussInt, NodeState] = {}
     for rel_v, r in first_rel.items():
+        v = translate(rel_v, config.root, k)
+        first_receipt[v] = r
         if rel_v == ZERO:
             continue
         if k >= 2:
@@ -173,13 +176,8 @@ def run(config: SimConfig) -> SimRun:
             rows = {j: parent_child_spec(region, j) for j in (1, 2, 3, 4)}
         else:
             rows = {}
-        resolved[translate(rel_v, config.root, k)] = NodeState(
-            relative_address=rel_v, first_round=r, rows=rows
-        )
+        resolved[v] = NodeState(relative_address=rel_v, first_round=r, rows=rows)
 
-    first_receipt = {
-        translate(rel_v, config.root, k): r for rel_v, r in first_rel.items()
-    }
     return SimRun(
         config=config,
         first_receipt=first_receipt,
@@ -259,15 +257,14 @@ def sweep(
     sample: int | None = None,
     seed: int | None = None,
     workers: int = 1,
-    chunk_size: int | None = None,
 ) -> SweepStats:
     """Run every fault combination (or a sampled budget) and aggregate steps.
 
     Exhaustive mode enumerates all C(n-1, faults) subsets of non-root nodes.
     Sampling draws `sample` independent uniform subsets.  Chunks of runs are
     independent; with workers > 1 they execute on a thread pool and are
-    merged by sum/max, so results do not depend on scheduling.  By default a
-    chunk holds about 1 MiB of per-node kernel state.
+    merged by sum/max, so results do not depend on scheduling.  A chunk holds
+    about 1 MiB of per-node kernel state.
     """
     if not 0 <= faults <= MAX_FAULTS:
         raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
@@ -275,10 +272,12 @@ def sweep(
         raise ValueError(f"k must be >= 1, got {k}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     B, LUT = reach_tables(k)
     n = len(B)
     root = network(k).index(ZERO)
-    chunk_size = chunk_size or max(1, (1 << 20) // n)
+    chunk_size = max(1, (1 << 20) // n)
     others = np.array([i for i in range(n) if i != root], dtype=np.int64)
 
     if sample is None:

@@ -65,9 +65,6 @@ class SpanningTree:
             lst.sort(key=lambda v: (v.x, v.y))
         return out
 
-    def path_to(self, v: GaussInt) -> list[GaussInt]:
-        return tree_path(self, v)
-
     def depth(self, v: GaussInt) -> int:
         return len(tree_path(self, v)) - 1
 

@@ -146,6 +146,10 @@ def test_sweep_sampled(tmp_path):
     ["simulate", "--k", "3", "--faults=100"],
     ["simulate", "--k", "3", "--root=100"],
     ["simulate", "--k", "3", "--faults=1,1"],
+    ["sweep", "--k", "2", "--faults", "1", "--workers", "0"],
+    ["sweep", "--k", "2", "--faults", "1", "--workers=-3"],
+    ["route", "--k", "2", "--s", "0", "--d", "5"],
+    ["route", "--k", "2", "--s", "5", "--d", "0"],
 ])
 def test_bad_input_one_line_usage_error(argv, tmp_path, capsys):
     if argv[0] == "sweep":

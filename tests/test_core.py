@@ -114,6 +114,15 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(GaussInt(1, 1), 0)
 
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_residue_congruence(self, k):
+        # (2k+1) + i = (1 - i) alpha_k, so x + yi = x - (2k+1)y mod alpha_k,
+        # and the diamond holds exactly one node per class of Z/n
+        assert GaussInt(2 * k + 1, 1) == GaussInt(1, -1) * alpha(k)
+        residues = sorted((v.x - (2 * k + 1) * v.y) % node_count(k)
+                          for v in diamond_nodes(k))
+        assert residues == list(range(node_count(k)))
+
 
 class TestNeighbors:
     def test_origin(self):

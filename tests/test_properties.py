@@ -1,0 +1,59 @@
+"""Property tests: residue arithmetic, node literals, and the sweep kernel."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from gaussnet import _kernels
+from gaussnet.core import GaussInt, ZERO, format_node, network, parse_node, reduce
+from gaussnet.router import broadcast
+from gaussnet.simulator import SimConfig, run
+from gaussnet.trees import reach_tables
+
+from test_core import brute_reduce
+
+coords = st.integers(-10**9, 10**9)
+gauss = st.builds(GaussInt, coords, coords)
+small_k = st.integers(1, 30)
+
+
+@settings(deadline=None, max_examples=150)
+@given(gauss, small_k)
+def test_reduce_matches_brute_oracle(z, k):
+    assert reduce(z, k) == brute_reduce(z, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gauss, gauss, small_k)
+def test_reduce_is_ring_homomorphism(a, b, k):
+    ra, rb = reduce(a, k), reduce(b, k)
+    assert reduce(ra, k) == ra
+    assert reduce(a + b, k) == reduce(ra + rb, k)
+    assert reduce(a * b, k) == reduce(ra * rb, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gauss)
+def test_node_literal_round_trip(v):
+    assert parse_node(format_node(v)) == v
+
+
+@st.composite
+def fault_runs(draw):
+    k = draw(st.integers(1, 20))
+    others = [v for v in network(k).nodes if v != ZERO]
+    faults = draw(st.lists(st.sampled_from(others), max_size=3, unique=True))
+    return k, faults
+
+
+@settings(deadline=None, max_examples=60)
+@given(fault_runs())
+def test_kernel_and_broadcast_match_run_oracle(case):
+    k, faults = case
+    net = network(k)
+    block = np.array([net.index(f) for f in faults], dtype=np.int64).reshape(1, -1)
+    rounds = _kernels.sweep_rounds(*reach_tables(k), block)
+    sim = run(SimConfig(k=k, faults=frozenset(faults)))
+    assert int(rounds[0]) == sim.last_active_round
+    if k >= 2:
+        delivered = broadcast(ZERO, faults, k)
+        assert {v for v, trees in delivered.items() if trees} == sim.reached()

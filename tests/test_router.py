@@ -128,6 +128,14 @@ class TestRoute:
         with pytest.raises(ValueError):
             route(n("1"), n("1"), 1, 3)
 
+    def test_rejects_non_canonical_nodes(self):
+        # 5 = -i mod alpha_2: it must not be routed as if it were -i
+        for s, d in ((n("5"), ZERO), (ZERO, n("5")), (ZERO, n("2+i"))):
+            with pytest.raises(ValueError, match="not canonical"):
+                route(s, d, 1, 2)
+        with pytest.raises(ValueError, match="not canonical"):
+            secure_split(ZERO, n("5"), 2, b"abcd")
+
     def test_disjoint_across_trees_k2(self):
         k = 2
         nodes = diamond_nodes(k)
@@ -228,6 +236,9 @@ class TestBroadcast:
             broadcast(ZERO, (GaussInt(3, 4),), 3)
         with pytest.raises(ValueError):
             broadcast(ZERO, (), 1)
+        for s, faults in ((n("5"), ()), (ZERO, (n("5"),)), (ZERO, (n("1"), n("3")))):
+            with pytest.raises(ValueError, match="not canonical"):
+                broadcast(s, faults, 2)
 
 
 class TestSecureSplit:

@@ -190,8 +190,9 @@ class TestSweep:
         assert st.runs == 1 and st.avg_max == 5 and st.max_max == 5
 
     def test_workers_merge(self):
-        seq = sweep(3, 2, workers=1)
-        par = sweep(3, 2, workers=3, chunk_size=64)
+        # k=6, f=3: 95,284 runs in 8 chunks of the default ~1 MiB size
+        seq = sweep(6, 3, workers=1)
+        par = sweep(6, 3, workers=3)
         assert (seq.avg_max, seq.max_max, seq.runs) == (par.avg_max, par.max_max, par.runs)
 
     def test_sampled_mode(self):
@@ -234,6 +235,9 @@ class TestSweep:
         for sample in (0, -1):
             with pytest.raises(ValueError):
                 sweep(3, 2, sample=sample)
+        for workers in (0, -3):
+            with pytest.raises(ValueError):
+                sweep(3, 2, workers=workers)
 
 
 class TestOutputs:
