@@ -48,7 +48,6 @@ from .trees import (
     PathWord,
     SpanningTree,
     build_tree,
-    build_tree1,
     expand_word,
     parent_child_spec,
     path_word,

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -123,6 +125,26 @@ def _children_maps(k: int) -> tuple[dict[GaussInt, tuple[GaussInt, ...]], ...]:
     return tuple(maps)
 
 
+@lru_cache(maxsize=32)
+def _region_rows(
+    k: int,
+) -> dict[GaussInt, Mapping[int, tuple[GaussInt, frozenset[GaussInt]]]]:
+    """Each non-root relative address's rows for all four trees, read-only.
+
+    The rows depend only on (rel_v, k), so every run of k shares them.
+    """
+    out = {}
+    for v in diamond_nodes(k):
+        if v == ZERO:
+            continue
+        rows = {}
+        if k >= 2:
+            region = classify(v, k)
+            rows = {j: parent_child_spec(region, j) for j in (1, 2, 3, 4)}
+        out[v] = MappingProxyType(rows)
+    return out
+
+
 def run(config: SimConfig) -> SimRun:
     """Execute one run; a pure function of its configuration."""
     k = config.k
@@ -164,19 +186,16 @@ def run(config: SimConfig) -> SimRun:
         if v != ZERO:
             messages_per_round[r + 1] += 3
 
+    region_rows = _region_rows(k)
     first_receipt: dict[GaussInt, int] = {}
     resolved: dict[GaussInt, NodeState] = {}
     for rel_v, r in first_rel.items():
         v = translate(rel_v, config.root, k)
         first_receipt[v] = r
-        if rel_v == ZERO:
-            continue
-        if k >= 2:
-            region = classify(rel_v, k)
-            rows = {j: parent_child_spec(region, j) for j in (1, 2, 3, 4)}
-        else:
-            rows = {}
-        resolved[v] = NodeState(relative_address=rel_v, first_round=r, rows=rows)
+        if rel_v != ZERO:
+            resolved[v] = NodeState(
+                relative_address=rel_v, first_round=r, rows=region_rows[rel_v]
+            )
 
     return SimRun(
         config=config,
@@ -262,9 +281,10 @@ def sweep(
 
     Exhaustive mode enumerates all C(n-1, faults) subsets of non-root nodes.
     Sampling draws `sample` independent uniform subsets.  Chunks of runs are
-    independent; with workers > 1 they execute on a thread pool and are
-    merged by sum/max, so results do not depend on scheduling.  A chunk holds
-    about 1 MiB of per-node kernel state.
+    independent; with workers > 1 they execute on a thread pool, at most
+    2 * workers at a time, and are merged by sum/max, so results do not
+    depend on scheduling.  A chunk holds about 1 MiB of per-node kernel
+    state.
     """
     if not 0 <= faults <= MAX_FAULTS:
         raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
@@ -299,15 +319,24 @@ def sweep(
         rounds = _kernels.sweep_rounds(B, LUT, block)
         return int(rounds.sum()), int(rounds.max()), len(rounds)
 
-    total = mx = count = 0
-    if workers > 1:
+    def results():
+        if workers == 1:
+            yield from map(run_block, blocks)
+            return
+        # a rolling window of 2 * workers blocks bounds the enumeration held
+        # in memory; results come back in submission order
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for s, m, c in pool.map(run_block, blocks):
-                total, mx, count = total + s, max(mx, m), count + c
-    else:
-        for block in blocks:
-            s, m, c = run_block(block)
-            total, mx, count = total + s, max(mx, m), count + c
+            window = deque()
+            for block in blocks:
+                window.append(pool.submit(run_block, block))
+                if len(window) == 2 * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+
+    total = mx = count = 0
+    for s, m, c in results():
+        total, mx, count = total + s, max(mx, m), count + c
 
     return SweepStats(
         k=k,

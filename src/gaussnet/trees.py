@@ -1,10 +1,9 @@
 """The four node-independent spanning trees rooted at 0.
 
-Tree 1 is built from the vertical edge set by removing three families and
-adding three families of edges; trees 2..4 are its images under the quarter
-turn rho.  Every root-to-node path in tree 1 also has a closed form as a
-direction word, and each node's parent/child directions depend only on its
-region, so the trees can be reconstructed from purely local data.
+Each node's parent/child directions depend only on its region, so tree 1 is
+read node by node from the region table; trees 2..4 are its images under the
+quarter turn rho, an index permutation.  Every root-to-node path in tree 1
+also has a closed form as a direction word.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .core import (
     format_node,
     is_canonical,
     network,
-    node_count,
     reduce,
     rho,
 )
@@ -96,84 +94,49 @@ def _check_tree_k(k: int) -> None:
         raise ValueError(f"trees require k >= {MIN_TREE_K}, got {k}")
 
 
-def tree1_edge_set(k: int) -> set[frozenset[GaussInt]]:
-    """Edge set of tree 1.
-
-    Start from all vertical edges (v, v+i mod alpha).  Remove the verticals
-    rising from the non-negative imaginary axis (including the wraparound
-    from ki to -k) and the verticals hanging one step below the non-positive
-    real axis.  Add the real-axis spine (q, q+1), the re-entry horizontals
-    (-1+qi, qi), and the +1 wraparound (k, ki).
-    """
-    _check_tree_k(k)
-    edges: set[frozenset[GaussInt]] = set()
-    for v in diamond_nodes(k):
-        if v.x == 0 and 0 <= v.y <= k:
-            continue
-        if v.y == -1 and -k + 1 <= v.x <= 0:
-            continue
-        edges.add(frozenset((v, reduce(v + IMAG, k))))
-    for q in range(k):
-        edges.add(frozenset((GaussInt(q, 0), GaussInt(q + 1, 0))))
-    for q in range(1, k):
-        edges.add(frozenset((GaussInt(-1, q), GaussInt(0, q))))
-    edges.add(frozenset((GaussInt(k, 0), GaussInt(0, k))))
-    return edges
-
-
-def _orient(k: int, index: int, edges: set[frozenset[GaussInt]]) -> SpanningTree:
-    """Turn an edge set into parent pointers by search from the root."""
-    n = node_count(k)
-    if len(edges) != n - 1:
-        raise AssertionError(f"tree {index}: {len(edges)} edges, expected {n - 1}")
-    adj: dict[GaussInt, list[GaussInt]] = {}
-    for e in edges:
-        a, b = tuple(e)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    parent: dict[GaussInt, tuple[GaussInt, GaussInt]] = {}
-    frontier = [ZERO]
-    seen = {ZERO}
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for c in adj.get(p, ()):
-                if c in seen:
-                    continue
-                seen.add(c)
-                for d in DIRECTIONS:
-                    if reduce(c + d, k) == p:
-                        parent[c] = (p, d)
-                        break
-                else:
-                    raise AssertionError(f"non-adjacent tree edge {c}..{p}")
-                nxt.append(c)
-        frontier = nxt
-    if len(seen) != n:
-        raise AssertionError(f"tree {index} is not spanning: reached {len(seen)}/{n}")
-    return SpanningTree(index=index, k=k, root=ZERO, parent=parent)
+# rho acting on DIRECTIONS = (+1, -1, +i, -i): +1 -> +i, -1 -> -i, +i -> -1, -i -> +1
+_RHO_DIR = np.array((2, 3, 1, 0), dtype=np.uint8)
 
 
 @lru_cache(maxsize=64)
-def build_tree1(k: int) -> SpanningTree:
-    """Tree 1, oriented toward the root."""
-    return _orient(k, 1, tree1_edge_set(k))
+def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All four trees as index arrays over network(k).nodes.
+
+    parent[j-1, i] is the index of node i's parent in tree j (the root is its
+    own parent); pdir[j-1, i] is the child-to-parent direction as an index
+    into DIRECTIONS (meaningless at the root).  Row 0 is read from the region
+    table; row j is row j-1 carried through the quarter-turn permutation.
+    """
+    _check_tree_k(k)
+    net = network(k)
+    n = len(net)
+    index = net.index
+    parent = np.empty((4, n), dtype=np.intp)
+    pdir = np.zeros((4, n), dtype=np.uint8)
+    parent[0, index(ZERO)] = index(ZERO)
+    for v, (p, d) in region_parent_map(1, k).items():
+        i = index(v)
+        parent[0, i], pdir[0, i] = index(p), DIRECTIONS.index(d)
+    rot = np.array([index(rho(v)) for v in net.nodes], dtype=np.intp)
+    for j in (1, 2, 3):
+        parent[j, rot] = rot[parent[j - 1]]
+        pdir[j, rot] = _RHO_DIR[pdir[j - 1]]
+    for table in (parent, pdir):  # shared through the cache
+        table.setflags(write=False)
+    return parent, pdir
 
 
 @lru_cache(maxsize=256)
 def build_tree(j: int, k: int) -> SpanningTree:
-    """Tree j = rho^(j-1) image of tree 1."""
+    """Tree j = rho^(j-1) image of tree 1, read from row j-1 of tree_arrays."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"tree index must be 1..4, got {j}")
-    _check_tree_k(k)
-    if j == 1:
-        return build_tree1(k)
-    t1 = build_tree1(k)
-    parent = {
-        rho(c, j - 1): (rho(p, j - 1), rho(d, j - 1))
-        for c, (p, d) in t1.parent.items()
-    }
-    return SpanningTree(index=j, k=k, root=ZERO, parent=parent)
+    parent, pdir = tree_arrays(k)
+    nodes = network(k).nodes
+    rows = zip(nodes, parent[j - 1].tolist(), pdir[j - 1].tolist())
+    return SpanningTree(index=j, k=k, root=ZERO, parent={
+        v: (nodes[p], DIRECTIONS[d]) for v, p, d in rows if v != ZERO
+    })
 
 
 def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
@@ -205,22 +168,21 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     net = network(k)
     n = len(net)
     root = net.index(ZERO)
+    parents = tree_arrays(k)[0] if k > 1 else np.full((4, n), root)
     cols = np.arange(n)
     B = np.zeros((n, n), dtype=np.uint8)
     depth = np.zeros((n, 4), dtype=np.uint8)
     for j in range(4):
-        parent = np.full(n, root)
-        if k > 1:
-            for v, (p, _) in build_tree(j + 1, k).parent.items():
-                parent[net.index(v)] = net.index(p)
         anc = cols
-        while True:  # climb every node's root path one hop at a time
+        for _ in range(2 * k + 1):  # climb every node's root path one hop at a time
             B[anc, cols] |= 1 << j
             moving = anc != root
             if not moving.any():
                 break
             depth[:, j] += moving
-            anc = parent[anc]
+            anc = parents[j][anc]
+        else:
+            raise AssertionError(f"tree {j + 1} (k={k}) has a parent cycle")
     unreached = np.iinfo(np.uint8).max
     blocked = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
     lut = np.where(blocked, unreached, depth[:, None, :]).min(axis=2)
@@ -353,18 +315,19 @@ def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt
 def verify_independence(k: int) -> tuple[bool, tuple | None]:
     """Check all root paths pairwise share only their endpoints.
 
-    Returns (True, None), or (False, (node, j, j', common)) on the first
-    violation found.
+    Reads the fault-reach table: an interior node u of v's root paths with
+    two or more bits in B[u, v] lies on two of them.  Returns (True, None),
+    or (False, (v, j, j', u)) for the first such v in node order.
     """
     _check_tree_k(k)
-    trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
-    for v in diamond_nodes(k):
-        if v == ZERO:
-            continue
-        interior = [set(tree_path(t, v)[1:-1]) for t in trees]
-        for a in range(4):
-            for b in range(a + 1, 4):
-                common = interior[a] & interior[b]
-                if common:
-                    return False, (v, a + 1, b + 1, next(iter(common)))
-    return True, None
+    B, _ = reach_tables(k)
+    net = network(k)
+    shared = (B & (B - 1)) != 0  # two or more bits set
+    shared[net.index(ZERO), :] = False
+    np.fill_diagonal(shared, False)
+    hits = np.argwhere(shared.T)
+    if not len(hits):
+        return True, None
+    v, u = hits[0]
+    j, j2 = [t + 1 for t in range(4) if B[u, v] >> t & 1][:2]
+    return False, (net.nodes[v], j, j2, net.nodes[u])

@@ -151,6 +151,16 @@ class TestResolution:
             parent_dir, _ = state.rows[3]
             assert reduce(v + parent_dir, 2) == t3.parent[v][0]
 
+    def test_rows_shared_and_read_only(self):
+        a = run(SimConfig(k=4))
+        b = run(SimConfig(k=4, root=n("1-2i"), faults=frozenset({n("2")})))
+        rows_a = {s.relative_address: s.rows for s in a.trees_resolved.values()}
+        for state in b.trees_resolved.values():
+            assert state.rows == rows_a[state.relative_address]
+        state = next(iter(b.trees_resolved.values()))
+        with pytest.raises(TypeError):
+            state.rows[1] = (GaussInt(1, 0), frozenset())
+
 
 class TestReachability:
     def test_fault_free_all_true(self):

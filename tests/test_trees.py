@@ -6,23 +6,25 @@ import pytest
 
 from gaussnet.core import (
     GaussInt,
+    IMAG,
     ZERO,
     classify,
     diamond_nodes,
     network,
     node_count,
     parse_node,
+    reduce,
     rho,
 )
 from gaussnet.trees import (
+    _check_tree_k,
     build_tree,
-    build_tree1,
     expand_word,
     parent_child_spec,
     path_word,
     reach_tables,
     region_parent_map,
-    tree1_edge_set,
+    tree_arrays,
     tree_path,
     verify_independence,
 )
@@ -32,31 +34,61 @@ def n(text: str) -> GaussInt:
     return parse_node(text)
 
 
+def tree1_edge_set(k: int) -> set[frozenset[GaussInt]]:
+    """Edge set of tree 1.
+
+    Start from all vertical edges (v, v+i mod alpha).  Remove the verticals
+    rising from the non-negative imaginary axis (including the wraparound
+    from ki to -k) and the verticals hanging one step below the non-positive
+    real axis.  Add the real-axis spine (q, q+1), the re-entry horizontals
+    (-1+qi, qi), and the +1 wraparound (k, ki).
+    """
+    _check_tree_k(k)
+    edges: set[frozenset[GaussInt]] = set()
+    for v in diamond_nodes(k):
+        if v.x == 0 and 0 <= v.y <= k:
+            continue
+        if v.y == -1 and -k + 1 <= v.x <= 0:
+            continue
+        edges.add(frozenset((v, reduce(v + IMAG, k))))
+    for q in range(k):
+        edges.add(frozenset((GaussInt(q, 0), GaussInt(q + 1, 0))))
+    for q in range(1, k):
+        edges.add(frozenset((GaussInt(-1, q), GaussInt(0, q))))
+    edges.add(frozenset((GaussInt(k, 0), GaussInt(0, k))))
+    return edges
+
+
 class TestTree1:
     def test_edge_count_k4(self):
         assert len(tree1_edge_set(4)) == 40
 
     @pytest.mark.parametrize("k", range(2, 10))
+    def test_matches_edge_set_oracle(self, k):
+        # the region table builds tree 1; the edge-set construction pins it
+        assert build_tree(1, k).edges() == tree1_edge_set(k)
+
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_spanning(self, k):
-        t = build_tree1(k)
+        t = build_tree(1, k)
         assert len(t.parent) == node_count(k) - 1
         for v in diamond_nodes(k):
             path = tree_path(t, v)
             assert path[0] == ZERO and path[-1] == v
 
     def test_reference_path(self):
-        t = build_tree1(4)
+        t = build_tree(1, 4)
         assert tree_path(t, n("-2+2i")) == [
             n("0"), n("1"), n("2"), n("3"), n("3-i"), n("-2+2i")
         ]
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
-            build_tree1(1)
+            build_tree(1, 1)
 
     def test_k2_words_cover_parent_map(self):
         # expanding every word must walk tree edges only and end at its node
-        t = build_tree1(2)
+        t = build_tree(1, 2)
         edges = t.edges()
         for v in diamond_nodes(2):
             if v == ZERO:
@@ -74,17 +106,14 @@ class TestRotatedTrees:
             n("0"), n("i"), n("2i"), n("3i"), n("1+3i"), n("-2-2i")
         ]
 
-    def test_j1_equals_tree1(self):
-        assert build_tree(1, 5).parent == build_tree1(5).parent
-
     def test_tree3_is_negation(self):
-        t1, t3 = build_tree1(4), build_tree(3, 4)
+        t1, t3 = build_tree(1, 4), build_tree(3, 4)
         negated = frozenset(frozenset(-v for v in e) for e in t1.edges())
         assert t3.edges() == negated
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_rotation_consistency(self, k):
-        t1 = build_tree1(k)
+        t1 = build_tree(1, k)
         for j in (2, 3, 4):
             rotated = frozenset(
                 frozenset(rho(v, j - 1) for v in e) for e in t1.edges()
@@ -107,7 +136,7 @@ class TestPathWords:
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_words_equal_tree_paths(self, k):
-        t = build_tree1(k)
+        t = build_tree(1, k)
         for v in diamond_nodes(k):
             if v == ZERO:
                 continue
@@ -150,12 +179,12 @@ class TestHeight:
             assert max(t.depth(v) for v in diamond_nodes(k)) == 2 * k
 
     def test_deep_nodes(self):
-        t = build_tree1(5)
+        t = build_tree(1, 5)
         assert t.depth(n("i")) == 10
         assert t.depth(n("-1")) == 10
 
     def test_root_path_trivial(self):
-        assert tree_path(build_tree1(3), ZERO) == [ZERO]
+        assert tree_path(build_tree(1, 3), ZERO) == [ZERO]
 
 
 class TestRegionTable:
@@ -170,7 +199,7 @@ class TestRegionTable:
         assert child_dirs == frozenset({GaussInt(1, 0), GaussInt(0, -1)})
 
     def test_reference_examples_in_tree(self):
-        t = build_tree1(4)
+        t = build_tree(1, 4)
         assert t.parent[n("-i")] == (n("-2i"), GaussInt(0, -1))
         assert t.parent[n("-1+i")] == (n("-1+2i"), GaussInt(0, 1))
         kids = t.children()[n("-1+i")]
@@ -191,6 +220,17 @@ class TestIndependence:
     def test_pairwise_independent(self, k):
         ok, witness = verify_independence(k)
         assert ok, witness
+
+    def test_reports_shared_interior_node(self, monkeypatch):
+        k = 3
+        B, LUT = reach_tables(k)
+        net = network(k)
+        v = n("-2+i")
+        u = tree_path(build_tree(1, k), v)[1]
+        forged = B.copy()
+        forged[net.index(u), net.index(v)] |= 0b0100  # u also on tree 3's path
+        monkeypatch.setattr("gaussnet.trees.reach_tables", lambda _k: (forged, LUT))
+        assert verify_independence(k) == (False, (v, 1, 3, u))
 
     def test_first_steps_distinct(self):
         for k in (2, 4):
@@ -217,6 +257,17 @@ class TestReachTables:
                           if not mask >> j & 1]
                 assert LUT[vi, mask] == min(depths, default=0)
 
+    def test_parent_cycle_raises(self, monkeypatch):
+        k = 3
+        parent, pdir = tree_arrays(k)
+        net = network(k)
+        a, b = net.index(n("1")), net.index(n("2"))
+        cyclic = parent.copy()
+        cyclic[0, a], cyclic[0, b] = b, a
+        monkeypatch.setattr("gaussnet.trees.tree_arrays", lambda _k: (cyclic, pdir))
+        with pytest.raises(AssertionError):
+            reach_tables.__wrapped__(k)
+
     def test_k1_direct_edges(self):
         net = network(1)
         B, LUT = reach_tables(1)
@@ -230,7 +281,7 @@ class TestReachTables:
 
 class TestExports:
     def test_json(self):
-        payload = json.loads(build_tree1(4).to_json())
+        payload = json.loads(build_tree(1, 4).to_json())
         assert payload["j"] == 1 and payload["k"] == 4
         assert len(payload["parents"]) == 40
         dirs = {row["dir"] for row in payload["parents"]}
