@@ -6,18 +6,19 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .core import (
     GaussInt,
     ZERO,
-    classify,
     diamond_nodes,
     distances_from,
     format_node,
     network,
     node_count,
     parse_node,
+    residue_regions,
     rho,
 )
 from .router import (
@@ -29,6 +30,7 @@ from .router import (
 )
 from .simulator import (
     SimConfig,
+    SimulationError,
     STEP_CONVENTION,
     fault_label,
     reachability_report,
@@ -134,9 +136,7 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     )
     results.append(("topology", topo_ok, f"{n} nodes, diameter {max(dist.values())}"))
 
-    counts: dict[str, int] = {}
-    for v in diamond_nodes(k):
-        counts[str(classify(v, k))] = counts.get(str(classify(v, k)), 0) + 1
+    counts = Counter(map(str, residue_regions(k)))
     expected_sizes = {"S": 1, "P": 1, "B": k - 2, "R": k - 1,
                       "Q": (k - 1) * (k - 2) // 2}
     partition_ok = counts.pop("origin", 0) == 1 and all(
@@ -337,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RoutingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, RoutingError, SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -93,22 +93,27 @@ def is_canonical(z: GaussInt, k: int) -> bool:
     return z.l1() <= k
 
 
-@lru_cache(maxsize=64)
-def _by_residue(k: int) -> tuple[GaussInt, ...]:
-    """The diamond node of each residue class, indexed by x - (2k+1)y mod n."""
-    n, m = node_count(k), 2 * k + 1
-    return tuple(sorted(diamond_nodes(k), key=lambda v: (v.x - m * v.y) % n))
+def residue(z: GaussInt, k: int) -> int:
+    """The class of z in Z[i]/(alpha_k) = Z/n, as an integer 0..n-1.
 
-
-def reduce(z: GaussInt, k: int) -> GaussInt:
-    """Canonical representative of z modulo alpha_k inside the diamond.
-
-    (2k+1) + i = (1 - i) alpha_k, so x + yi = x - (2k+1)y mod alpha_k.
+    (2k+1) + i = (1 - i) alpha_k, so x + yi = x - (2k+1)y mod alpha_k: the
+    residue of a sum is the sum of residues, and a quarter turn multiplies
+    the residue by residue(i) = -(2k+1) mod n.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    table = _by_residue(k)
-    return table[(z.x - (2 * k + 1) * z.y) % len(table)]
+    return (z.x - (2 * k + 1) * z.y) % node_count(k)
+
+
+@lru_cache(maxsize=64)
+def _by_residue(k: int) -> tuple[GaussInt, ...]:
+    """The diamond node of each residue class, indexed by residue."""
+    return tuple(sorted(diamond_nodes(k), key=lambda v: residue(v, k)))
+
+
+def reduce(z: GaussInt, k: int) -> GaussInt:
+    """Canonical representative of z modulo alpha_k inside the diamond."""
+    return _by_residue(k)[residue(z, k)]
 
 
 def rho(z: GaussInt, t: int = 1) -> GaussInt:
@@ -198,6 +203,12 @@ def classify(v: GaussInt, k: int) -> Region:
     raise AssertionError(f"{v} not covered by any region (k={k})")
 
 
+@lru_cache(maxsize=64)
+def residue_regions(k: int) -> tuple[Region, ...]:
+    """classify() of every node, once per k, indexed by residue."""
+    return tuple(classify(v, k) for v in _by_residue(k))
+
+
 # -- node literals ----------------------------------------------------------
 
 _NODE_RE = re.compile(
@@ -269,6 +280,9 @@ class Network:
         self.alpha = alpha(k)
         self.nodes: tuple[GaussInt, ...] = tuple(diamond_nodes(k))
         self._index = {v: i for i, v in enumerate(self.nodes)}
+        # residues[i] is the residue of nodes[i]; by_residue is its inverse
+        self.residues: tuple[int, ...] = tuple(residue(v, k) for v in self.nodes)
+        self.by_residue: tuple[GaussInt, ...] = _by_residue(k)
         self._adj = {v: tuple(neighbors(v, k)) for v in self.nodes}
 
     def __len__(self) -> int:

@@ -16,6 +16,7 @@ must equal the corresponding tree path).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -24,6 +25,7 @@ from .core import (
     GaussInt,
     IMAG,
     ONE,
+    Region,
     RegionClass,
     ZERO,
     classify,
@@ -32,8 +34,9 @@ from .core import (
     is_canonical,
     network,
     reduce,
+    residue,
+    residue_regions,
     rho,
-    translate,
 )
 from .trees import MIN_TREE_K, reach_tables
 
@@ -143,9 +146,33 @@ _GRID: dict[tuple[str, int], tuple[_Cell, _Cell, _Cell, _Cell]] = {
 }
 
 
-def _row_key(cls: RegionClass, quadrant: int) -> tuple[str, int]:
-    group = "SB" if cls in (RegionClass.S, RegionClass.B) else cls.value
-    return (group, quadrant)
+def _grid_row(reg: Region) -> tuple[_Cell, ...] | None:
+    """The grid row of a transient node in region reg; None for the origin."""
+    if reg.cls is RegionClass.ORIGIN:
+        return None
+    group = "SB" if reg.cls in (RegionClass.S, RegionClass.B) else reg.cls.value
+    return _GRID[(group, reg.quadrant)]
+
+
+@lru_cache(maxsize=64)
+def _grid_rows(k: int) -> tuple[tuple[_Cell, ...] | None, ...]:
+    """_grid_row of every node, indexed by residue."""
+    return tuple(map(_grid_row, residue_regions(k)))
+
+
+def _grid_cell(
+    row: tuple[_Cell, ...] | None, col: int, t: GaussInt, d: GaussInt, k: int
+) -> tuple[GaussInt, int]:
+    """(direction, tree) from transient t's grid row and quadrant-1 d's column."""
+    if row is None:
+        raise RoutingError("transient node coincides with the source")
+    cell = row[col]
+    if cell is None:
+        raise RoutingError(
+            f"unreachable decision cell: transient {classify(t, k)} "
+            f"for destination {classify(d, k)}"
+        )
+    return cell(t, d, k) if callable(cell) else cell
 
 
 def start_route(s: GaussInt, d: GaussInt, j: int, k: int) -> GaussInt:
@@ -161,16 +188,8 @@ def table_decision(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
     """Decision for a quadrant-1 destination, coordinates relative to the root."""
     if t == d:
         return CONSUME
-    dreg = classify(d, k)
-    treg = classify(t, k)
-    if treg.cls is RegionClass.ORIGIN:
-        raise RoutingError("transient node coincides with the source")
-    cell = _GRID[_row_key(treg.cls, treg.quadrant)][_COL[dreg.cls]]
-    if cell is None:
-        raise RoutingError(
-            f"unreachable decision cell: transient {treg} for destination {dreg}"
-        )
-    direction, tree = cell(t, d, k) if callable(cell) else cell
+    col = _COL[classify(d, k).cls]
+    direction, tree = _grid_cell(_grid_row(classify(t, k)), col, t, d, k)
     return RoutingDecision(direction=direction, tree=tree)
 
 
@@ -191,24 +210,40 @@ def decide(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
 def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
     """Full path s..d along tree j, driven by per-node decisions.
 
-    Equals the translate-by-s image of tree j's root path to d-s.
+    Equals the translate-by-s image of tree j's root path to d-s.  The walk
+    runs on residues (Z[i]/(alpha_k) = Z/n) in the frame where the
+    destination lies in quadrant 1, so the grid is read without rotating
+    each hop: a hop adds its direction's residue, and at the end each node
+    is rotated back (a product by the residue of rho^m(1)) and translated by
+    s (a sum) once.
     """
     for name, v in (("source", s), ("destination", d)):
         if not is_canonical(v, k):
             raise ValueError(f"{name} {v} is not canonical for k={k}")
     first = start_route(s, d, j, k)
-    rel_d = reduce(d - s, k)
-    rel = [ZERO, reduce(first, k)]
-    while rel[-1] != rel_d:
-        decision = decide(rel[-1], rel_d, k)
-        if decision.tree != j:
+    net, regions, rows = network(k), residue_regions(k), _grid_rows(k)
+    by_res, n, r_s = net.by_residue, len(net), residue(s, k)
+    r_rel = (residue(d, k) - r_s) % n
+    m = regions[r_rel].quadrant - 1
+    iota = residue(IMAG, k)
+    turn, unturn = pow(iota, m, n), pow(iota, -m % 4, n)  # rho^m, rho^-m
+    r_d = r_rel * unturn % n
+    d_frame, col = by_res[r_d], _COL[regions[r_d].cls]
+    j_frame, stride = (j - 1 - m) % 4 + 1, 2 * k + 1
+    path = [0, residue(first, k) * unturn % n]
+    while path[-1] != r_d:
+        r = path[-1]
+        direction, tree = _grid_cell(rows[r], col, by_res[r], d_frame, k)
+        if tree != j_frame:
             raise RoutingError(
-                f"decision at {rel[-1]} serves tree {decision.tree}, expected {j}"
+                f"decision at {by_res[r * turn % n]} serves tree "
+                f"{(tree - 1 + m) % 4 + 1}, expected {j}"
             )
-        rel.append(reduce(rel[-1] + decision.direction, k))
-        if len(rel) > 2 * k + 1:
+        path.append((r + direction.x - stride * direction.y) % n)
+        if len(path) > 2 * k + 1:
+            rel = [by_res[r * turn % n] for r in path]
             raise RoutingError(f"route exceeded height bound: {rel}")
-    return [translate(v, s, k) for v in rel]
+    return [by_res[(r * turn + r_s) % n] for r in path]
 
 
 # _DELIVERED[mask]: tree indices whose bit is clear in a 4-bit blocked mask
@@ -241,10 +276,11 @@ def broadcast(
     blocked = np.zeros(len(net), dtype=np.uint8)
     for f in rel_faults:
         blocked |= B[net.index(f)]
+    by_res, n, r_s = net.by_residue, len(net), residue(s, k)
     return {
-        translate(rel_v, s, k): set(_DELIVERED[mask])
-        for rel_v, mask in zip(net.nodes, blocked.tolist())
-        if rel_v != ZERO
+        by_res[(r + r_s) % n]: set(_DELIVERED[mask])
+        for r, mask in zip(net.residues, blocked.tolist())
+        if r
     }
 
 

@@ -33,17 +33,17 @@ from . import _kernels
 from .core import (
     GaussInt,
     ONE,
+    Region,
     ZERO,
-    classify,
-    diamond_nodes,
     format_node,
     is_canonical,
     network,
     reduce,
+    residue,
+    residue_regions,
     rho,
-    translate,
 )
-from .trees import build_tree, parent_child_spec, reach_tables
+from .trees import build_tree, parent_child_spec, reach_tables, tree_arrays
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -116,85 +116,99 @@ class SimRun:
 
 
 @lru_cache(maxsize=32)
-def _children_maps(k: int) -> tuple[dict[GaussInt, tuple[GaussInt, ...]], ...]:
-    """Child adjacency of the four trees, in relative (root-at-0) space."""
-    maps = []
-    for j in (1, 2, 3, 4):
-        ch = build_tree(j, k).children()
-        maps.append({v: tuple(cs) for v, cs in ch.items()})
-    return tuple(maps)
+def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """children[j][i]: the children of node i in tree j+1, by node index.
+
+    Indices ascend, so children come in lexicographic order.  k = 1 is the
+    complete 5-node network: tree j+1 is the single edge from 0 to rho^j(1).
+    """
+    net = network(k)
+    n, root = len(net), net.index(ZERO)
+    out = [[[] for _ in range(n)] for _ in range(4)]
+    if k == 1:
+        for j in range(4):
+            out[j][root].append(net.index(rho(ONE, j)))
+    else:
+        for j, row in enumerate(tree_arrays(k)[0].tolist()):
+            for i, p in enumerate(row):
+                if i != root:
+                    out[j][p].append(i)
+    return tuple(tuple(map(tuple, tree)) for tree in out)
+
+
+@lru_cache(maxsize=None)
+def _rows_of(region: Region) -> Mapping[int, tuple[GaussInt, frozenset[GaussInt]]]:
+    """One region's rows for all four trees; runs share them, so read-only."""
+    return MappingProxyType({j: parent_child_spec(region, j) for j in (1, 2, 3, 4)})
 
 
 @lru_cache(maxsize=32)
 def _region_rows(
     k: int,
-) -> dict[GaussInt, Mapping[int, tuple[GaussInt, frozenset[GaussInt]]]]:
-    """Each non-root relative address's rows for all four trees, read-only.
+) -> tuple[Mapping[int, tuple[GaussInt, frozenset[GaussInt]]], ...]:
+    """Each node's rows for all four trees, by index of network(k).nodes.
 
-    The rows depend only on (rel_v, k), so every run of k shares them.
+    The rows depend only on the region of the relative address, so the
+    nodes of one region share one mapping.  k = 1 has no trees: every row
+    mapping is empty, and the root's entry is unused.
     """
-    out = {}
-    for v in diamond_nodes(k):
-        if v == ZERO:
-            continue
-        rows = {}
-        if k >= 2:
-            region = classify(v, k)
-            rows = {j: parent_child_spec(region, j) for j in (1, 2, 3, 4)}
-        out[v] = MappingProxyType(rows)
-    return out
+    net, empty = network(k), MappingProxyType({})
+    if k == 1:
+        return (empty,) * len(net)
+    regions = residue_regions(k)
+    return tuple(_rows_of(regions[r]) if r else empty for r in net.residues)
 
 
 def run(config: SimConfig) -> SimRun:
-    """Execute one run; a pure function of its configuration."""
+    """Execute one run; a pure function of its configuration.
+
+    The rounds run on node indices in the root's frame (root at 0); each
+    reached node is translated to its absolute address once, at the end,
+    by adding residues.
+    """
     k = config.k
-    rel_faults = {reduce(f - config.root, k) for f in config.faults}
-    first_rel: dict[GaussInt, int] = {ZERO: 0}
-
-    if k == 1:
-        # complete 5-node network: each packet's tree is the single direct edge
+    net = network(k)
+    root = net.index(ZERO)
+    faults = {net.index(reduce(f - config.root, k)) for f in config.faults}
+    children = _children(k)
+    first_rel: dict[int, int] = {root: 0}
+    frontiers: list[list[int]] = [[root], [root], [root], [root]]
+    rnd = 0
+    while any(frontiers):
+        rnd += 1
+        # k = 1 builds no trees: its one round of unit edges is never capped
+        if k > 1 and rnd > config.max_rounds:
+            raise SimulationError(
+                f"exceeded max_rounds={config.max_rounds} at round {rnd}"
+            )
         for j in range(4):
-            v = rho(ONE, j)
-            if v not in rel_faults:
-                first_rel.setdefault(v, 1)
-    else:
-        children = _children_maps(k)
-        frontiers: list[list[GaussInt]] = [[ZERO], [ZERO], [ZERO], [ZERO]]
-        rnd = 0
-        while any(frontiers):
-            rnd += 1
-            if rnd > config.max_rounds:
-                raise SimulationError(
-                    f"exceeded max_rounds={config.max_rounds} at round {rnd}"
-                )
-            for j in range(4):
-                nxt = []
-                for u in frontiers[j]:
-                    for c in children[j][u]:
-                        if c in rel_faults:
-                            continue
-                        nxt.append(c)
-                        if c not in first_rel or rnd < first_rel[c]:
-                            first_rel[c] = rnd
-                frontiers[j] = nxt
+            tree, nxt = children[j], []
+            for u in frontiers[j]:
+                for c in tree[u]:
+                    if c in faults:
+                        continue
+                    nxt.append(c)
+                    if c not in first_rel:  # rounds only grow
+                        first_rel[c] = rnd
+            frontiers[j] = nxt
 
-    reached_rounds = [r for v, r in first_rel.items() if v != ZERO]
+    reached_rounds = [r for i, r in first_rel.items() if i != root]
     last_active = (max(reached_rounds) + 1) if reached_rounds else 1
     messages_per_round = [0] * (last_active + 1)
     messages_per_round[1] = 4
-    for v, r in first_rel.items():
-        if v != ZERO:
-            messages_per_round[r + 1] += 3
+    for r in reached_rounds:
+        messages_per_round[r + 1] += 3
 
-    region_rows = _region_rows(k)
+    rows = _region_rows(k)
+    by_res, n, r_root = net.by_residue, len(net), residue(config.root, k)
     first_receipt: dict[GaussInt, int] = {}
     resolved: dict[GaussInt, NodeState] = {}
-    for rel_v, r in first_rel.items():
-        v = translate(rel_v, config.root, k)
+    for i, r in first_rel.items():
+        v = by_res[(net.residues[i] + r_root) % n]
         first_receipt[v] = r
-        if rel_v != ZERO:
+        if i != root:
             resolved[v] = NodeState(
-                relative_address=rel_v, first_round=r, rows=region_rows[rel_v]
+                relative_address=net.nodes[i], first_round=r, rows=rows[i]
             )
 
     return SimRun(

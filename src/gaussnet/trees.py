@@ -22,13 +22,12 @@ from .core import (
     Region,
     RegionClass,
     ZERO,
-    classify,
-    diamond_nodes,
     direction_name,
     format_node,
     is_canonical,
     network,
     reduce,
+    residue_regions,
     rho,
 )
 
@@ -303,11 +302,13 @@ def parent_child_spec(
 def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
     """Parent pointers of tree j materialised from the region table alone."""
     _check_tree_k(k)
+    net = network(k)
+    regions = residue_regions(k)
     out = {}
-    for v in diamond_nodes(k):
+    for v, r in zip(net.nodes, net.residues):
         if v == ZERO:
             continue
-        pd, _ = parent_child_spec(classify(v, k), j)
+        pd, _ = parent_child_spec(regions[r], j)
         out[v] = (reduce(v + pd, k), pd)
     return out
 

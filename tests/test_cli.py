@@ -158,3 +158,16 @@ def test_bad_input_one_line_usage_error(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_simulation_error_is_usage_error(monkeypatch, capsys):
+    from gaussnet import cli
+    from gaussnet.simulator import SimulationError
+
+    def capped(config):
+        raise SimulationError("exceeded max_rounds=1 at round 2")
+
+    monkeypatch.setattr(cli, "run", capped)
+    assert main(["simulate", "--k", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: exceeded max_rounds=1 at round 2"]

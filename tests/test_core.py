@@ -22,6 +22,8 @@ from gaussnet.core import (
     norm,
     parse_node,
     reduce,
+    residue,
+    residue_regions,
     rho,
     translate,
 )
@@ -122,6 +124,18 @@ class TestReduce:
         residues = sorted((v.x - (2 * k + 1) * v.y) % node_count(k)
                           for v in diamond_nodes(k))
         assert residues == list(range(node_count(k)))
+
+    @pytest.mark.parametrize("k", (1, 2, 5, 9))
+    def test_network_residue_maps(self, k):
+        net = network(k)
+        assert [residue(v, k) for v in net.nodes] == list(net.residues)
+        assert [net.by_residue[r] for r in net.residues] == list(net.nodes)
+        assert all(reduce(GaussInt(r, 0), k) == v
+                   for r, v in enumerate(net.by_residue))
+
+    def test_residue_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            residue(GaussInt(1, 1), 0)
 
 
 class TestNeighbors:
@@ -245,6 +259,13 @@ class TestClassify:
         assert cover[ZERO] == 0
         assert all(c == 1 for v, c in cover.items() if v != ZERO)
         assert sum(sizes) == node_count(k) - 1
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_residue_regions_is_classify(self, k):
+        table = residue_regions(k)
+        assert len(table) == node_count(k)
+        for v in diamond_nodes(k):
+            assert table[residue(v, k)] == classify(v, k)
 
 
 class TestTopology:

@@ -1,13 +1,25 @@
-"""Property tests: residue arithmetic, node literals, and the sweep kernel."""
+"""Property tests: residue arithmetic, node literals, routes and the sweep kernel."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from gaussnet import _kernels
-from gaussnet.core import GaussInt, ZERO, format_node, network, parse_node, reduce
-from gaussnet.router import broadcast
+from gaussnet.core import (
+    GaussInt,
+    IMAG,
+    ZERO,
+    format_node,
+    network,
+    node_count,
+    parse_node,
+    reduce,
+    residue,
+    rho,
+    translate,
+)
+from gaussnet.router import broadcast, route
 from gaussnet.simulator import SimConfig, run
-from gaussnet.trees import reach_tables
+from gaussnet.trees import build_tree, reach_tables, tree_path
 
 from test_core import brute_reduce
 
@@ -29,6 +41,33 @@ def test_reduce_is_ring_homomorphism(a, b, k):
     assert reduce(ra, k) == ra
     assert reduce(a + b, k) == reduce(ra + rb, k)
     assert reduce(a * b, k) == reduce(ra * rb, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gauss, gauss, small_k)
+def test_residue_is_additive_and_turns_by_iota(a, b, k):
+    # Z[i]/(alpha_k) = Z/n: translation adds residues, the quarter turn
+    # multiplies by the residue of i
+    n = node_count(k)
+    assert residue(a + b, k) == (residue(a, k) + residue(b, k)) % n
+    assert residue(rho(a), k) == residue(IMAG, k) * residue(a, k) % n
+    assert residue(IMAG, k) == -(2 * k + 1) % n
+
+
+@st.composite
+def route_cases(draw):
+    k = draw(st.integers(2, 20))
+    nodes = network(k).nodes
+    s, d = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    return s, d, draw(st.integers(1, 4)), k
+
+
+@settings(deadline=None, max_examples=300)
+@given(route_cases())
+def test_route_is_translated_tree_path(case):
+    s, d, j, k = case
+    rel = tree_path(build_tree(j, k), reduce(d - s, k))
+    assert route(s, d, j, k) == [translate(v, s, k) for v in rel]
 
 
 @settings(deadline=None, max_examples=300)

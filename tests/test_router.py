@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gaussnet import router
 from gaussnet.core import (
     GaussInt,
     ZERO,
@@ -96,7 +97,7 @@ class TestRoute:
             n("0"), n("i"), n("2i"), n("3i"), n("1+3i"), n("-2-2i")
         ]
 
-    @pytest.mark.parametrize("k", (2, 3, 4))
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_oracle_exhaustive(self, k):
         trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
         for v in diamond_nodes(k):
@@ -148,6 +149,25 @@ class TestRoute:
                     for b in range(a + 1, 4):
                         assert not interiors[a] & interiors[b]
 
+    def test_k1_routes_fail_as_tree_mismatch(self):
+        # k = 1 has no trees; the grid sends 20 of its 80 routes onto the
+        # wrong tree, and route() must say so rather than return a path
+        nodes = diamond_nodes(1)
+        failures = 0
+        for s in nodes:
+            for d in nodes:
+                for j in (1, 2, 3, 4):
+                    if s == d:
+                        continue
+                    try:
+                        route(s, d, j, 1)
+                    except RoutingError as exc:
+                        assert "serves tree" in str(exc)
+                        failures += 1
+        assert failures == 20
+        with pytest.raises(RoutingError, match="decision at 1 serves tree 1, expected 4"):
+            route(ZERO, n("-1"), 4, 1)
+
     def test_trace_format(self):
         trace = format_trace(route(ZERO, n("-2+2i"), 1, 4), 1, 4)
         lines = trace.splitlines()
@@ -155,6 +175,51 @@ class TestRoute:
         assert lines[3] == "step 4: node (3) ---i--> node (3-i) [tree 1]"
         assert lines[-1].endswith("node (-2+2i) [tree 1]")
         assert all("[tree 1]" in line for line in lines)
+
+
+class TestRouteErrors:
+    """Grid faults surface as RoutingError, reported in the caller's frame.
+
+    Every case routes 0 -> 3i on tree 2 at k = 3: the destination lies in
+    quadrant 2, so the walk runs in the frame turned back by one quarter,
+    where the path is 0, 1, 2, 3 and tree 2 is tree 1.  The forged cells
+    sit in the row of S1/B1 (nodes 1 and 2 of that frame) and the column
+    of P1 (node 3).
+    """
+
+    @pytest.fixture
+    def forge(self, monkeypatch):
+        def forge_cell(cell):
+            row = list(router._GRID[("SB", 1)])
+            row[3] = cell
+            monkeypatch.setitem(router._GRID, ("SB", 1), tuple(row))
+            router._grid_rows.cache_clear()
+
+        yield forge_cell
+        router._grid_rows.cache_clear()
+
+    def test_unreachable_cell(self, forge):
+        forge(None)
+        with pytest.raises(RoutingError,
+                           match="unreachable decision cell: transient S1 for destination P1"):
+            route(ZERO, n("3i"), 2, 3)
+
+    def test_tree_mismatch(self, forge):
+        forge((GaussInt(1, 0), 2))
+        with pytest.raises(RoutingError, match="decision at i serves tree 3, expected 2"):
+            route(ZERO, n("3i"), 2, 3)
+
+    def test_return_to_source(self, forge):
+        forge((GaussInt(-1, 0), 1))
+        with pytest.raises(RoutingError, match="coincides with the source"):
+            route(ZERO, n("3i"), 2, 3)
+
+    def test_height_bound(self, forge):
+        forge(lambda t, d, k: (GaussInt(1, 0), 1) if t.x == 1 else (GaussInt(-1, 0), 1))
+        with pytest.raises(RoutingError, match="height bound") as exc:
+            route(ZERO, n("3i"), 2, 3)
+        # the partial path is reported relative to the source, unrotated
+        assert "GaussInt(0, 2), GaussInt(0, 1), GaussInt(0, 2)" in str(exc.value)
 
 
 class TestBroadcast:

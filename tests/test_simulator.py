@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 
 from gaussnet import _kernels
-from gaussnet.core import GaussInt, ZERO, diamond_nodes, network, parse_node, reduce
+from gaussnet.core import (
+    GaussInt,
+    ZERO,
+    diamond_nodes,
+    network,
+    node_count,
+    parse_node,
+    reduce,
+)
 from gaussnet.simulator import (
     SimConfig,
     SimulationError,
@@ -194,6 +202,17 @@ class TestSweep:
         assert st2.runs == 276
         assert abs(float(st2.avg_max) - 4.847) < 0.005
         assert st2.max_max == 6
+
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_f_le_1_closed_form(self, k):
+        # a single fault delays 4 positions by each e = 1..k-1 and leaves
+        # the rest at k+1, so avg = (k+1) + (k-1)/(k+1) and max = 2k
+        st0 = sweep(k, 0)
+        assert (st0.runs, st0.avg_max, st0.max_max) == (1, k + 1, k + 1)
+        st1 = sweep(k, 1)
+        assert st1.runs == node_count(k) - 1
+        assert st1.avg_max == (k + 1) + Fraction(k - 1, k + 1)
+        assert st1.max_max == 2 * k
 
     def test_zero_faults(self):
         st = sweep(4, 0)
