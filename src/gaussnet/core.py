@@ -26,6 +26,11 @@ class GaussInt:
     x: int
     y: int
 
+    def __hash__(self) -> int:
+        # An odd integer per point, so never -2, the one int that hashes like
+        # -1; hash((x, y)) made points differing by a -1 / -2 coordinate collide.
+        return hash(2 * ((self.x << 32) + self.y) + 1)
+
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.x + other.x, self.y + other.y)
 
@@ -105,15 +110,9 @@ def residue(z: GaussInt, k: int) -> int:
     return (z.x - (2 * k + 1) * z.y) % node_count(k)
 
 
-@lru_cache(maxsize=64)
-def _by_residue(k: int) -> tuple[GaussInt, ...]:
-    """The diamond node of each residue class, indexed by residue."""
-    return tuple(sorted(diamond_nodes(k), key=lambda v: residue(v, k)))
-
-
 def reduce(z: GaussInt, k: int) -> GaussInt:
     """Canonical representative of z modulo alpha_k inside the diamond."""
-    return _by_residue(k)[residue(z, k)]
+    return network(k).nodes[residue(z, k)]
 
 
 def rho(z: GaussInt, t: int = 1) -> GaussInt:
@@ -206,7 +205,7 @@ def classify(v: GaussInt, k: int) -> Region:
 @lru_cache(maxsize=64)
 def residue_regions(k: int) -> tuple[Region, ...]:
     """classify() of every node, once per k, indexed by residue."""
-    return tuple(classify(v, k) for v in _by_residue(k))
+    return tuple(classify(v, k) for v in network(k).nodes)
 
 
 # -- node literals ----------------------------------------------------------
@@ -271,40 +270,49 @@ def diamond_nodes(k: int) -> list[GaussInt]:
 
 
 class Network:
-    """The dense Gaussian network of diameter k, built once and shared read-only."""
+    """The dense Gaussian network of diameter k, built once and shared read-only.
+
+    Node i is the residue class i of Z/n: nodes[i] is its diamond
+    representative, so the root 0 is index 0.
+    """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.alpha = alpha(k)
-        self.nodes: tuple[GaussInt, ...] = tuple(diamond_nodes(k))
-        self._index = {v: i for i, v in enumerate(self.nodes)}
-        # residues[i] is the residue of nodes[i]; by_residue is its inverse
-        self.residues: tuple[int, ...] = tuple(residue(v, k) for v in self.nodes)
-        self.by_residue: tuple[GaussInt, ...] = _by_residue(k)
-        self._adj = {v: tuple(neighbors(v, k)) for v in self.nodes}
+        self.nodes: tuple[GaussInt, ...] = tuple(
+            sorted(diamond_nodes(k), key=lambda v: residue(v, k))
+        )
+        n = len(self.nodes)
+        steps = [residue(d, k) for d in DIRECTIONS]
+        self._adj = tuple(
+            tuple(self.nodes[(r + s) % n] for s in steps) for r in range(n)
+        )
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __contains__(self, v: GaussInt) -> bool:
-        return v in self._index
+        return is_canonical(v, self.k)
 
     def __iter__(self) -> Iterator[GaussInt]:
         return iter(self.nodes)
 
     def index(self, v: GaussInt) -> int:
-        return self._index[v]
+        """The index of canonical v, which is its residue."""
+        if v not in self:
+            raise ValueError(f"{v} is not canonical for k={self.k}")
+        return residue(v, self.k)
 
     def neighbors(self, v: GaussInt) -> tuple[GaussInt, ...]:
-        return self._adj[v]
+        return self._adj[self.index(v)]
 
     def edges(self) -> list[tuple[GaussInt, GaussInt]]:
         """Each adjacency once, ordered by the lexicographically smaller endpoint."""
         out = []
-        for v in self.nodes:
-            for w in self._adj[v]:
+        for v, adj in zip(self.nodes, self._adj):
+            for w in adj:
                 if _node_key(v) < _node_key(w):
                     out.append((v, w))
         out.sort(key=lambda e: (_node_key(e[0]), _node_key(e[1])))
@@ -318,7 +326,7 @@ class Network:
         payload = {
             "k": self.k,
             "alpha": {"x": self.alpha.x, "y": self.alpha.y},
-            "nodes": [{"x": v.x, "y": v.y} for v in self.nodes],
+            "nodes": [{"x": v.x, "y": v.y} for v in diamond_nodes(self.k)],
             "edges": [
                 [{"x": a.x, "y": a.y}, {"x": b.x, "y": b.y}]
                 for a, b in self.edges()
@@ -328,7 +336,7 @@ class Network:
 
     def to_dot(self) -> str:
         lines = [f"graph gaussian_{self.k} {{"]
-        for v in self.nodes:
+        for v in diamond_nodes(self.k):
             lines.append(f'  "{format_node(v)}";')
         for a, b in self.edges():
             style = " [style=dashed]" if self.is_wraparound(a, b) else ""

@@ -221,29 +221,29 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
         if not is_canonical(v, k):
             raise ValueError(f"{name} {v} is not canonical for k={k}")
     first = start_route(s, d, j, k)
-    net, regions, rows = network(k), residue_regions(k), _grid_rows(k)
-    by_res, n, r_s = net.by_residue, len(net), residue(s, k)
+    nodes, regions, rows = network(k).nodes, residue_regions(k), _grid_rows(k)
+    n, r_s = len(nodes), residue(s, k)
     r_rel = (residue(d, k) - r_s) % n
     m = regions[r_rel].quadrant - 1
     iota = residue(IMAG, k)
     turn, unturn = pow(iota, m, n), pow(iota, -m % 4, n)  # rho^m, rho^-m
     r_d = r_rel * unturn % n
-    d_frame, col = by_res[r_d], _COL[regions[r_d].cls]
+    d_frame, col = nodes[r_d], _COL[regions[r_d].cls]
     j_frame, stride = (j - 1 - m) % 4 + 1, 2 * k + 1
     path = [0, residue(first, k) * unturn % n]
     while path[-1] != r_d:
         r = path[-1]
-        direction, tree = _grid_cell(rows[r], col, by_res[r], d_frame, k)
+        direction, tree = _grid_cell(rows[r], col, nodes[r], d_frame, k)
         if tree != j_frame:
             raise RoutingError(
-                f"decision at {by_res[r * turn % n]} serves tree "
+                f"decision at {nodes[r * turn % n]} serves tree "
                 f"{(tree - 1 + m) % 4 + 1}, expected {j}"
             )
         path.append((r + direction.x - stride * direction.y) % n)
         if len(path) > 2 * k + 1:
-            rel = [by_res[r * turn % n] for r in path]
+            rel = [nodes[r * turn % n] for r in path]
             raise RoutingError(f"route exceeded height bound: {rel}")
-    return [by_res[(r * turn + r_s) % n] for r in path]
+    return [nodes[(r * turn + r_s) % n] for r in path]
 
 
 # _DELIVERED[mask]: tree indices whose bit is clear in a 4-bit blocked mask
@@ -266,20 +266,20 @@ def broadcast(
     for v in (s, *faults):
         if not is_canonical(v, k):
             raise ValueError(f"node {v} is not canonical for k={k}")
-    rel_faults = {reduce(f - s, k) for f in faults}
+    nodes = network(k).nodes
+    n, r_s = len(nodes), residue(s, k)
+    rel_faults = {(residue(f, k) - r_s) % n for f in faults}
     if len(rel_faults) > 3:
         raise ValueError("at most 3 faults are tolerated")
-    if ZERO in rel_faults:
+    if 0 in rel_faults:
         raise ValueError("the source cannot be faulty")
-    net = network(k)
     B, _ = reach_tables(k)
-    blocked = np.zeros(len(net), dtype=np.uint8)
+    blocked = np.zeros(n, dtype=np.uint8)
     for f in rel_faults:
-        blocked |= B[net.index(f)]
-    by_res, n, r_s = net.by_residue, len(net), residue(s, k)
+        blocked |= B[f]
     return {
-        by_res[(r + r_s) % n]: set(_DELIVERED[mask])
-        for r, mask in zip(net.residues, blocked.tolist())
+        nodes[(r + r_s) % n]: set(_DELIVERED[mask])
+        for r, mask in enumerate(blocked.tolist())
         if r
     }
 

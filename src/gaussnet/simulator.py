@@ -38,6 +38,7 @@ from .core import (
     format_node,
     is_canonical,
     network,
+    node_count,
     reduce,
     residue,
     residue_regions,
@@ -117,22 +118,20 @@ class SimRun:
 
 @lru_cache(maxsize=32)
 def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """children[j][i]: the children of node i in tree j+1, by node index.
+    """children[j][i]: the children of node i in tree j+1, by residue.
 
-    Indices ascend, so children come in lexicographic order.  k = 1 is the
-    complete 5-node network: tree j+1 is the single edge from 0 to rho^j(1).
+    Residues ascend within each list.  k = 1 is the complete 5-node network:
+    tree j+1 is the single edge from 0 to rho^j(1).
     """
-    net = network(k)
-    n, root = len(net), net.index(ZERO)
+    n = node_count(k)
     out = [[[] for _ in range(n)] for _ in range(4)]
     if k == 1:
         for j in range(4):
-            out[j][root].append(net.index(rho(ONE, j)))
+            out[j][0].append(residue(rho(ONE, j), k))
     else:
         for j, row in enumerate(tree_arrays(k)[0].tolist()):
-            for i, p in enumerate(row):
-                if i != root:
-                    out[j][p].append(i)
+            for i, p in enumerate(row[1:], start=1):
+                out[j][p].append(i)
     return tuple(tuple(map(tuple, tree)) for tree in out)
 
 
@@ -146,33 +145,32 @@ def _rows_of(region: Region) -> Mapping[int, tuple[GaussInt, frozenset[GaussInt]
 def _region_rows(
     k: int,
 ) -> tuple[Mapping[int, tuple[GaussInt, frozenset[GaussInt]]], ...]:
-    """Each node's rows for all four trees, by index of network(k).nodes.
+    """Each node's rows for all four trees, by residue.
 
     The rows depend only on the region of the relative address, so the
     nodes of one region share one mapping.  k = 1 has no trees: every row
     mapping is empty, and the root's entry is unused.
     """
-    net, empty = network(k), MappingProxyType({})
+    empty = MappingProxyType({})
     if k == 1:
-        return (empty,) * len(net)
-    regions = residue_regions(k)
-    return tuple(_rows_of(regions[r]) if r else empty for r in net.residues)
+        return (empty,) * node_count(k)
+    return (empty, *map(_rows_of, residue_regions(k)[1:]))
 
 
 def run(config: SimConfig) -> SimRun:
     """Execute one run; a pure function of its configuration.
 
-    The rounds run on node indices in the root's frame (root at 0); each
+    The rounds run on residues in the root's frame (root at 0); each
     reached node is translated to its absolute address once, at the end,
-    by adding residues.
+    by adding the root's residue.
     """
     k = config.k
-    net = network(k)
-    root = net.index(ZERO)
-    faults = {net.index(reduce(f - config.root, k)) for f in config.faults}
+    nodes = network(k).nodes
+    n, r_root = len(nodes), residue(config.root, k)
+    faults = {(residue(f, k) - r_root) % n for f in config.faults}
     children = _children(k)
-    first_rel: dict[int, int] = {root: 0}
-    frontiers: list[list[int]] = [[root], [root], [root], [root]]
+    first_rel: dict[int, int] = {0: 0}
+    frontiers: list[list[int]] = [[0], [0], [0], [0]]
     rnd = 0
     while any(frontiers):
         rnd += 1
@@ -192,7 +190,7 @@ def run(config: SimConfig) -> SimRun:
                         first_rel[c] = rnd
             frontiers[j] = nxt
 
-    reached_rounds = [r for i, r in first_rel.items() if i != root]
+    reached_rounds = [r for i, r in first_rel.items() if i]
     last_active = (max(reached_rounds) + 1) if reached_rounds else 1
     messages_per_round = [0] * (last_active + 1)
     messages_per_round[1] = 4
@@ -200,15 +198,14 @@ def run(config: SimConfig) -> SimRun:
         messages_per_round[r + 1] += 3
 
     rows = _region_rows(k)
-    by_res, n, r_root = net.by_residue, len(net), residue(config.root, k)
     first_receipt: dict[GaussInt, int] = {}
     resolved: dict[GaussInt, NodeState] = {}
     for i, r in first_rel.items():
-        v = by_res[(net.residues[i] + r_root) % n]
+        v = nodes[(i + r_root) % n]
         first_receipt[v] = r
-        if i != root:
+        if i:
             resolved[v] = NodeState(
-                relative_address=net.nodes[i], first_round=r, rows=rows[i]
+                relative_address=nodes[i], first_round=r, rows=rows[i]
             )
 
     return SimRun(
@@ -269,7 +266,7 @@ def _chunks(it, size: int):
 def _sample_fault_sets(
     n_others: int, f: int, budget: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """budget rows of f distinct indices into the non-root node list."""
+    """budget rows of f distinct values in 0..n_others-1."""
     if f == 0:
         return np.zeros((budget, 0), dtype=np.int64)
     draws = rng.integers(0, n_others, size=(budget, f), dtype=np.int64)
@@ -306,24 +303,24 @@ def sweep(
         raise ValueError(f"k must be >= 1, got {k}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
+    if sample is None and seed is not None:
+        raise ValueError("seed applies only to a sampled sweep")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     B, LUT = reach_tables(k)
     n = len(B)
-    root = network(k).index(ZERO)
     chunk_size = max(1, (1 << 20) // n)
-    others = np.array([i for i in range(n) if i != root], dtype=np.int64)
 
+    # fault sets are drawn from every node but the root, residue 0
     if sample is None:
-        combo_iter = itertools.combinations(others.tolist(), faults)
+        combo_iter = itertools.combinations(range(1, n), faults)
         blocks = (
             np.array(block, dtype=np.int64).reshape(len(block), faults)
             for block in _chunks(combo_iter, chunk_size)
         )
     else:
         rng = np.random.default_rng(seed)
-        picks = _sample_fault_sets(len(others), faults, sample, rng)
-        fault_sets = others[picks] if faults else picks
+        fault_sets = _sample_fault_sets(n - 1, faults, sample, rng) + 1
         blocks = (
             fault_sets[i: i + chunk_size]
             for i in range(0, len(fault_sets), chunk_size)

@@ -26,7 +26,9 @@ from .core import (
     format_node,
     is_canonical,
     network,
+    node_count,
     reduce,
+    residue,
     residue_regions,
     rho,
 )
@@ -99,27 +101,25 @@ _RHO_DIR = np.array((2, 3, 1, 0), dtype=np.uint8)
 
 @lru_cache(maxsize=64)
 def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All four trees as index arrays over network(k).nodes.
+    """All four trees as index arrays over network(k).nodes, i.e. over Z/n.
 
-    parent[j-1, i] is the index of node i's parent in tree j (the root is its
-    own parent); pdir[j-1, i] is the child-to-parent direction as an index
-    into DIRECTIONS (meaningless at the root).  Row 0 is read from the region
-    table; row j is row j-1 carried through the quarter-turn permutation.
+    parent[j-1, r] is the residue of node r's parent in tree j (the root 0 is
+    its own parent); pdir[j-1, r] is the child-to-parent direction as an
+    index into DIRECTIONS (meaningless at the root).  Row 0 is read from the
+    region table; row j is row j-1 carried through the quarter turn, which
+    multiplies residues by residue(i).
     """
     _check_tree_k(k)
-    net = network(k)
-    n = len(net)
-    index = net.index
-    parent = np.empty((4, n), dtype=np.intp)
+    n = node_count(k)
     pdir = np.zeros((4, n), dtype=np.uint8)
-    parent[0, index(ZERO)] = index(ZERO)
-    for v, (p, d) in region_parent_map(1, k).items():
-        i = index(v)
-        parent[0, i], pdir[0, i] = index(p), DIRECTIONS.index(d)
-    rot = np.array([index(rho(v)) for v in net.nodes], dtype=np.intp)
+    pdir[0, 1:] = [DIRECTIONS.index(parent_child_spec(reg, 1)[0])
+                   for reg in residue_regions(k)[1:]]
+    rot = np.arange(n) * residue(IMAG, k) % n
     for j in (1, 2, 3):
-        parent[j, rot] = rot[parent[j - 1]]
         pdir[j, rot] = _RHO_DIR[pdir[j - 1]]
+    step = np.array([residue(d, k) for d in DIRECTIONS])
+    parent = (np.arange(n) + step[pdir]) % n  # a hop adds its direction's residue
+    parent[:, 0] = 0
     for table in (parent, pdir):  # shared through the cache
         table.setflags(write=False)
     return parent, pdir
@@ -132,9 +132,9 @@ def build_tree(j: int, k: int) -> SpanningTree:
         raise ValueError(f"tree index must be 1..4, got {j}")
     parent, pdir = tree_arrays(k)
     nodes = network(k).nodes
-    rows = zip(nodes, parent[j - 1].tolist(), pdir[j - 1].tolist())
+    rows = zip(nodes[1:], parent[j - 1, 1:].tolist(), pdir[j - 1, 1:].tolist())
     return SpanningTree(index=j, k=k, root=ZERO, parent={
-        v: (nodes[p], DIRECTIONS[d]) for v, p, d in rows if v != ZERO
+        v: (nodes[p], DIRECTIONS[d]) for v, p, d in rows
     })
 
 
@@ -154,7 +154,7 @@ def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
 
 @lru_cache(maxsize=32)
 def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fault-reach tables over the indices of network(k).nodes.
+    """Fault-reach tables over the indices of network(k).nodes (residues).
 
     B[u, v] (uint8) is a 4-bit mask, bit j-1 for tree j, of the trees whose
     root path to v contains u; both endpoints count, so B[v, v] == 15.
@@ -164,10 +164,8 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     faulty v reads 0.  k = 1 is the complete 5-node network: every root path
     is the single direct edge.
     """
-    net = network(k)
-    n = len(net)
-    root = net.index(ZERO)
-    parents = tree_arrays(k)[0] if k > 1 else np.full((4, n), root)
+    n = node_count(k)
+    parents = tree_arrays(k)[0] if k > 1 else np.zeros((4, n), dtype=np.intp)
     cols = np.arange(n)
     B = np.zeros((n, n), dtype=np.uint8)
     depth = np.zeros((n, 4), dtype=np.uint8)
@@ -175,7 +173,7 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
         anc = cols
         for _ in range(2 * k + 1):  # climb every node's root path one hop at a time
             B[anc, cols] |= 1 << j
-            moving = anc != root
+            moving = anc != 0
             if not moving.any():
                 break
             depth[:, j] += moving
@@ -302,13 +300,9 @@ def parent_child_spec(
 def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
     """Parent pointers of tree j materialised from the region table alone."""
     _check_tree_k(k)
-    net = network(k)
-    regions = residue_regions(k)
     out = {}
-    for v, r in zip(net.nodes, net.residues):
-        if v == ZERO:
-            continue
-        pd, _ = parent_child_spec(regions[r], j)
+    for v, reg in zip(network(k).nodes[1:], residue_regions(k)[1:]):
+        pd, _ = parent_child_spec(reg, j)
         out[v] = (reduce(v + pd, k), pd)
     return out
 
@@ -322,13 +316,13 @@ def verify_independence(k: int) -> tuple[bool, tuple | None]:
     """
     _check_tree_k(k)
     B, _ = reach_tables(k)
-    net = network(k)
+    nodes = network(k).nodes
     shared = (B & (B - 1)) != 0  # two or more bits set
-    shared[net.index(ZERO), :] = False
+    shared[0, :] = False  # the root
     np.fill_diagonal(shared, False)
     hits = np.argwhere(shared.T)
     if not len(hits):
         return True, None
     v, u = hits[0]
     j, j2 = [t + 1 for t in range(4) if B[u, v] >> t & 1][:2]
-    return False, (net.nodes[v], j, j2, net.nodes[u])
+    return False, (nodes[v], j, j2, nodes[u])

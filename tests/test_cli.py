@@ -12,6 +12,9 @@ def test_gen_json_node_counts(tmp_path, capsys):
     assert main(["gen", "--k", "3", "--format", "json", "--out", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
     assert len(payload["nodes"]) == 25
+    # nodes are numbered by residue but listed in (x, y) order
+    nodes = [(v["x"], v["y"]) for v in payload["nodes"]]
+    assert nodes == sorted(nodes)
 
     assert main(["gen", "--k", "1", "--format", "json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
@@ -150,6 +153,7 @@ def test_sweep_sampled(tmp_path):
     ["sweep", "--k", "2", "--faults", "1", "--workers=-3"],
     ["route", "--k", "2", "--s", "0", "--d", "5"],
     ["route", "--k", "2", "--s", "5", "--d", "0"],
+    ["sweep", "--k", "2", "--faults", "1", "--seed", "5"],
 ])
 def test_bad_input_one_line_usage_error(argv, tmp_path, capsys):
     if argv[0] == "sweep":

@@ -71,6 +71,11 @@ class TestGaussInt:
         assert a.conj() == GaussInt(2, 3)
         assert -a == GaussInt(-2, 3)
 
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_diamond_hashes_distinct(self, k):
+        nodes = diamond_nodes(k)
+        assert len({hash(v) for v in nodes}) == len(nodes)
+
     def test_node_count(self):
         for k in range(1, 10):
             assert node_count(k) == len(diamond_nodes(k)) == norm(alpha(k))
@@ -127,11 +132,17 @@ class TestReduce:
 
     @pytest.mark.parametrize("k", (1, 2, 5, 9))
     def test_network_residue_maps(self, k):
+        # node i of G_k is the residue class i of Z/n
         net = network(k)
-        assert [residue(v, k) for v in net.nodes] == list(net.residues)
-        assert [net.by_residue[r] for r in net.residues] == list(net.nodes)
+        assert [residue(v, k) for v in net.nodes] == list(range(len(net)))
+        assert net.nodes[0] == ZERO
+        assert all(net.index(v) == residue(v, k) for v in diamond_nodes(k))
+        outside = GaussInt(k + 1, 0)
+        with pytest.raises(ValueError, match="not canonical"):
+            net.index(outside)
+        assert outside not in net
         assert all(reduce(GaussInt(r, 0), k) == v
-                   for r, v in enumerate(net.by_residue))
+                   for r, v in enumerate(net.nodes))
 
     def test_residue_rejects_bad_k(self):
         with pytest.raises(ValueError):

@@ -267,6 +267,8 @@ class TestSweep:
         for workers in (0, -3):
             with pytest.raises(ValueError):
                 sweep(3, 2, workers=workers)
+        with pytest.raises(ValueError, match="seed"):
+            sweep(3, 2, seed=5)  # a seed without a sample would be ignored
 
 
 class TestOutputs:
