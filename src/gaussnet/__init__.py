@@ -32,7 +32,6 @@ from .router import (
     route,
     secure_split,
     start_route,
-    table_decision,
 )
 from .simulator import (
     SimConfig,

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 from .core import (
-    GaussInt,
     ZERO,
     diamond_nodes,
     distances_from,
@@ -23,7 +21,7 @@ from .core import (
 )
 from .router import (
     RoutingError,
-    broadcast,
+    _shared_interior,
     format_trace,
     route,
     route_to_json,
@@ -31,7 +29,6 @@ from .router import (
 from .simulator import (
     SimConfig,
     SimulationError,
-    STEP_CONVENTION,
     fault_label,
     reachability_report,
     run,
@@ -98,18 +95,12 @@ def _cmd_tree(args) -> int:
 
 def _cmd_route(args) -> int:
     s, d = parse_node(args.s), parse_node(args.d)
-    if s == d:
-        raise ValueError("source equals destination")
     if args.all:
-        interior_seen: dict[GaussInt, int] = {}
-        disjoint = True
+        routes = []
         for j in (1, 2, 3, 4):
-            path = route(s, d, j, args.k)
-            print(format_trace(path, j, args.k))
-            for v in path[1:-1]:
-                if v in interior_seen:
-                    disjoint = False
-                interior_seen[v] = j
+            routes.append(route(s, d, j, args.k))
+            print(format_trace(routes[-1], j, args.k))
+        disjoint = _shared_interior(routes) is None
         print(f"disjoint: {'yes' if disjoint else 'NO'}")
         return EXIT_OK if disjoint else EXIT_VERIFY_FAILED
     j = int(args.j)

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)

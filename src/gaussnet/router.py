@@ -2,11 +2,13 @@
 
 A transient node decides where to forward purely from its own position and
 the destination, both taken relative to the source (which is mapped to the
-root by translation).  The decision grid below is stated for destinations in
-quadrant 1; other destinations are handled by rotating the pair into that
-frame, reading the grid, and rotating the answer back.  Because the four
-root paths to any node are internally disjoint, a transient node lies on at
-most one of them, and the grid entry also names the tree being served.
+root by translation).  decide(t, d, k) is that decision, and route() is the
+same step taken hop after hop.  The decision grid below is stated for
+destinations in quadrant 1; both turn the destination's quadrant into
+quadrant 1 with one frame table, read the grid there, and turn the answer
+back.  Because the four root paths to any node are internally disjoint, a
+transient node lies on at most one of them, and the grid entry also names
+the tree being served.
 
 The grid is normative for this package: it is pinned by an exhaustive
 regression against the tree paths themselves (every route from the root
@@ -25,7 +27,6 @@ from .core import (
     GaussInt,
     IMAG,
     ONE,
-    Region,
     RegionClass,
     ZERO,
     classify,
@@ -125,6 +126,7 @@ def _q3_wedge(t, d, k):
 # group within quadrant 1.  None marks a combination no tree path produces.
 _COL = {RegionClass.S: 0, RegionClass.B: 0, RegionClass.R: 1,
         RegionClass.Q: 2, RegionClass.P: 3}
+_GROUP = dict(zip(_COL, ("SB", "SB", "R", "Q", "P")))  # row group of each class
 
 _GRID: dict[tuple[str, int], tuple[_Cell, _Cell, _Cell, _Cell]] = {
     ("SB", 1): (_c1, _c2, _c2, (_R1, 1)),
@@ -146,18 +148,30 @@ _GRID: dict[tuple[str, int], tuple[_Cell, _Cell, _Cell, _Cell]] = {
 }
 
 
-def _grid_row(reg: Region) -> tuple[_Cell, ...] | None:
-    """The grid row of a transient node in region reg; None for the origin."""
-    if reg.cls is RegionClass.ORIGIN:
-        return None
-    group = "SB" if reg.cls in (RegionClass.S, RegionClass.B) else reg.cls.value
-    return _GRID[(group, reg.quadrant)]
+@lru_cache(maxsize=64)
+def _grid_rows(k: int) -> tuple[tuple[_Cell, ...] | None, ...]:
+    """The grid row of every transient node, by residue; None for the origin, 0."""
+    regions = residue_regions(k)[1:]
+    return (None, *(_GRID[(_GROUP[reg.cls], reg.quadrant)] for reg in regions))
 
 
 @lru_cache(maxsize=64)
-def _grid_rows(k: int) -> tuple[tuple[_Cell, ...] | None, ...]:
-    """_grid_row of every node, indexed by residue."""
-    return tuple(map(_grid_row, residue_regions(k)))
+def _frames(k: int) -> tuple[tuple[int, int, int, int, int] | None, ...]:
+    """The quadrant-1 frame of every destination, by residue relative to the source.
+
+    Entry r is (m, turn, unturn, r_d, col): m = quadrant - 1 of node r, the
+    residue multipliers of rho^m and rho^-m, and the residue r * unturn of the
+    turned destination, in quadrant 1, with its grid column; r = 0 has none.
+    """
+    regions = residue_regions(k)
+    n, iota = len(regions), residue(IMAG, k)
+    frames = [None]
+    for r, reg in enumerate(regions[1:], start=1):
+        m = reg.quadrant - 1
+        unturn = pow(iota, -m % 4, n)
+        r_d = r * unturn % n
+        frames.append((m, pow(iota, m, n), unturn, r_d, _COL[regions[r_d].cls]))
+    return tuple(frames)
 
 
 def _grid_cell(
@@ -184,31 +198,24 @@ def start_route(s: GaussInt, d: GaussInt, j: int, k: int) -> GaussInt:
     return rho(ONE, j - 1)
 
 
-def table_decision(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
-    """Decision for a quadrant-1 destination, coordinates relative to the root."""
-    if t == d:
-        return CONSUME
-    col = _COL[classify(d, k).cls]
-    direction, tree = _grid_cell(_grid_row(classify(t, k)), col, t, d, k)
-    return RoutingDecision(direction=direction, tree=tree)
-
-
 def decide(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
-    """Decision for any destination, by rotation into the quadrant-1 frame."""
+    """The hop route() takes at transient t toward d, both relative to the source."""
+    for name, v in (("transient", t), ("destination", d)):
+        if not is_canonical(v, k):
+            raise ValueError(f"{name} {v} is not canonical for k={k}")
     if t == d:
         return CONSUME
     if d == ZERO:
         raise ValueError("destination coincides with the source")
-    m = classify(d, k).quadrant - 1
-    base = table_decision(rho(t, -m), rho(d, -m), k)
-    return RoutingDecision(
-        direction=rho(base.direction, m),
-        tree=(base.tree - 1 + m) % 4 + 1,
-    )
+    nodes = network(k).nodes
+    m, _, unturn, r_d, col = _frames(k)[residue(d, k)]
+    r_t = residue(t, k) * unturn % len(nodes)
+    direction, tree = _grid_cell(_grid_rows(k)[r_t], col, nodes[r_t], nodes[r_d], k)
+    return RoutingDecision(direction=rho(direction, m), tree=(tree - 1 + m) % 4 + 1)
 
 
 def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
-    """Full path s..d along tree j, driven by per-node decisions.
+    """Full path s..d along tree j, taking the decide() step at every node.
 
     Equals the translate-by-s image of tree j's root path to d-s.  The walk
     runs on residues (Z[i]/(alpha_k) = Z/n) in the frame where the
@@ -221,15 +228,10 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
         if not is_canonical(v, k):
             raise ValueError(f"{name} {v} is not canonical for k={k}")
     first = start_route(s, d, j, k)
-    nodes, regions, rows = network(k).nodes, residue_regions(k), _grid_rows(k)
+    nodes, rows = network(k).nodes, _grid_rows(k)
     n, r_s = len(nodes), residue(s, k)
-    r_rel = (residue(d, k) - r_s) % n
-    m = regions[r_rel].quadrant - 1
-    iota = residue(IMAG, k)
-    turn, unturn = pow(iota, m, n), pow(iota, -m % 4, n)  # rho^m, rho^-m
-    r_d = r_rel * unturn % n
-    d_frame, col = nodes[r_d], _COL[regions[r_d].cls]
-    j_frame, stride = (j - 1 - m) % 4 + 1, 2 * k + 1
+    m, turn, unturn, r_d, col = _frames(k)[(residue(d, k) - r_s) % n]
+    d_frame, j_frame, stride = nodes[r_d], (j - 1 - m) % 4 + 1, 2 * k + 1
     path = [0, residue(first, k) * unturn % n]
     while path[-1] != r_d:
         r = path[-1]
@@ -284,6 +286,21 @@ def broadcast(
     }
 
 
+def _shared_interior(routes: list[list[GaussInt]]) -> tuple[GaussInt, int, int] | None:
+    """The first interior node on two of the routes to trees 1..4, as (v, j, j').
+
+    j < j' are the trees whose routes hold v; None when the routes share
+    only their endpoints.
+    """
+    seen: dict[GaussInt, int] = {}
+    for j, path in enumerate(routes, start=1):
+        for v in path[1:-1]:
+            if v in seen:
+                return v, seen[v], j
+            seen[v] = j
+    return None
+
+
 def secure_split(
     s: GaussInt, d: GaussInt, k: int, message: bytes
 ) -> list[tuple[Packet, list[GaussInt]]]:
@@ -293,21 +310,12 @@ def secure_split(
     than the endpoints sees more than one part.
     """
     routes = [route(s, d, j, k) for j in (1, 2, 3, 4)]
-    seen: dict[GaussInt, int] = {}
-    for j, path in enumerate(routes, start=1):
-        for v in path[1:-1]:
-            if v in seen:
-                raise RoutingError(
-                    f"node {v} lies on trees {seen[v]} and {j}; paths not disjoint"
-                )
-            seen[v] = j
-    n = len(message)
-    base, extra = divmod(n, 4)
-    parts, pos = [], 0
-    for j in range(4):
-        size = base + (1 if j < extra else 0)
-        parts.append(message[pos:pos + size])
-        pos += size
+    if shared := _shared_interior(routes):
+        v, j, j2 = shared
+        raise RoutingError(f"node {v} lies on trees {j} and {j2}; paths not disjoint")
+    base, extra = divmod(len(message), 4)  # the first `extra` parts get one more byte
+    cut = [j * base + min(j, extra) for j in range(5)]
+    parts = [message[cut[j]:cut[j + 1]] for j in range(4)]
     return [
         (Packet(source=s, destination=d, tree=j + 1, payload=parts[j]), routes[j])
         for j in range(4)

@@ -21,7 +21,7 @@ import itertools
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -32,7 +32,6 @@ import numpy as np
 from . import _kernels
 from .core import (
     GaussInt,
-    ONE,
     Region,
     ZERO,
     format_node,
@@ -42,9 +41,8 @@ from .core import (
     reduce,
     residue,
     residue_regions,
-    rho,
 )
-from .trees import build_tree, parent_child_spec, reach_tables, tree_arrays
+from .trees import build_tree, parent_child_spec, parent_rows, reach_tables
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -120,18 +118,13 @@ class SimRun:
 def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """children[j][i]: the children of node i in tree j+1, by residue.
 
-    Residues ascend within each list.  k = 1 is the complete 5-node network:
-    tree j+1 is the single edge from 0 to rho^j(1).
+    Residues ascend within each list; k = 1 has the star trees of parent_rows.
     """
     n = node_count(k)
     out = [[[] for _ in range(n)] for _ in range(4)]
-    if k == 1:
-        for j in range(4):
-            out[j][0].append(residue(rho(ONE, j), k))
-    else:
-        for j, row in enumerate(tree_arrays(k)[0].tolist()):
-            for i, p in enumerate(row[1:], start=1):
-                out[j][p].append(i)
+    for j, row in enumerate(parent_rows(k).tolist()):
+        for i, p in enumerate(row[1:], start=1):
+            out[j][p].append(i)
     return tuple(tuple(map(tuple, tree)) for tree in out)
 
 

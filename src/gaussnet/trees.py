@@ -152,6 +152,13 @@ def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
     return path
 
 
+def parent_rows(k: int) -> np.ndarray:
+    """tree_arrays(k)[0]; k = 1 has no trees, so it gets four stars on the root."""
+    if k < MIN_TREE_K:
+        return np.zeros((4, node_count(k)), dtype=np.intp)
+    return tree_arrays(k)[0]
+
+
 @lru_cache(maxsize=32)
 def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fault-reach tables over the indices of network(k).nodes (residues).
@@ -161,11 +168,9 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     LUT[v, mask] (uint8) is the smallest depth of v among the trees not in
     mask, or 0 when all four are blocked; the root's row is 0.  Under fault
     set F node v first receives in round LUT[v, OR_{u in F} B[u, v]], and a
-    faulty v reads 0.  k = 1 is the complete 5-node network: every root path
-    is the single direct edge.
+    faulty v reads 0.  Trees are those of parent_rows, stars at k = 1.
     """
-    n = node_count(k)
-    parents = tree_arrays(k)[0] if k > 1 else np.zeros((4, n), dtype=np.intp)
+    n, parents = node_count(k), parent_rows(k)
     cols = np.arange(n)
     B = np.zeros((n, n), dtype=np.uint8)
     depth = np.zeros((n, 4), dtype=np.uint8)

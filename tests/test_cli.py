@@ -72,6 +72,22 @@ def test_route_all_disjoint(capsys):
     assert capsys.readouterr().out.strip().endswith("disjoint: yes")
 
 
+def test_route_all_not_disjoint(monkeypatch, capsys):
+    from gaussnet import cli, router
+
+    real = router.route
+
+    def forged(s, d, j, k):  # tree 2 retraces tree 1's path
+        return real(s, d, 1 if j == 2 else j, k)
+
+    monkeypatch.setattr(router, "route", forged)
+    monkeypatch.setattr(cli, "route", forged)
+    assert main(["route", "--k", "3", "--s", "0", "--d", "2+i", "--all"]) == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert sum(line.startswith("step 1:") for line in out) == 4
+    assert out[-1] == "disjoint: NO"
+
+
 def test_route_json(capsys):
     assert main(["route", "--k", "4", "--s", "0", "--d", "2+i", "--j", "1",
                  "--json"]) == EXIT_OK

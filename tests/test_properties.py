@@ -17,7 +17,7 @@ from gaussnet.core import (
     rho,
     translate,
 )
-from gaussnet.router import broadcast, route
+from gaussnet.router import broadcast, decide, route
 from gaussnet.simulator import SimConfig, run
 from gaussnet.trees import build_tree, reach_tables, tree_path
 
@@ -68,6 +68,20 @@ def test_route_is_translated_tree_path(case):
     s, d, j, k = case
     rel = tree_path(build_tree(j, k), reduce(d - s, k))
     assert route(s, d, j, k) == [translate(v, s, k) for v in rel]
+
+
+@settings(deadline=None, max_examples=300)
+@given(route_cases())
+def test_decide_is_the_step_route_takes(case):
+    _, d, j, k = case
+    if d == ZERO:
+        d = network(k).nodes[1]
+    path = route(ZERO, d, j, k)
+    for t, nxt in zip(path[1:-1], path[2:]):
+        decision = decide(t, d, k)
+        assert decision.tree == j
+        assert reduce(t + decision.direction, k) == nxt
+    assert decide(d, d, k).is_consume
 
 
 @settings(deadline=None, max_examples=300)

@@ -21,7 +21,6 @@ from gaussnet.router import (
     route,
     secure_split,
     start_route,
-    table_decision,
 )
 from gaussnet.trees import build_tree, tree_path
 
@@ -43,26 +42,34 @@ class TestStartRoute:
 
 
 class TestTableDecision:
+    """Grid cells for quadrant-1 destinations, which decide reads unturned."""
+
     def test_axis_endpoint_toward_axis(self):
         # endpoint of the positive real axis forwarding back along tree 2
-        d = table_decision(n("4"), n("2"), 4)
+        d = decide(n("4"), n("2"), 4)
         assert (d.direction, d.tree) == (GaussInt(-1, 0), 2)
 
     def test_wedge_column_climb(self):
-        d = table_decision(n("1+2i"), n("1+3i"), 4)
+        d = decide(n("1+2i"), n("1+3i"), 4)
         assert (d.direction, d.tree) == (GaussInt(0, 1), 1)
 
     def test_axis_run_to_endpoint(self):
-        d = table_decision(n("2"), n("4"), 4)
+        d = decide(n("2"), n("4"), 4)
         assert (d.direction, d.tree) == (GaussInt(1, 0), 1)
 
     def test_consume_at_destination(self):
-        assert table_decision(n("2"), n("2"), 4).is_consume
+        assert decide(n("2"), n("2"), 4).is_consume
 
 
 class TestDecide:
     def test_consume(self):
         assert decide(n("1+i"), n("1+i"), 3).is_consume
+
+    def test_rejects_non_canonical_nodes(self):
+        # 5 = -i mod alpha_2, and 3 lies outside the diamond of k = 2
+        for t, d in ((n("5"), n("1")), (n("1"), n("5")), (n("3"), n("3"))):
+            with pytest.raises(ValueError, match="not canonical"):
+                decide(t, d, 2)
 
     def test_rotated_case_matches_tree(self):
         # transient on the positive imaginary axis, destination in the
@@ -330,3 +337,15 @@ class TestSecureSplit:
         parts = secure_split(ZERO, n("1"), 3, b"xyzw")
         lengths = sorted(len(path) - 1 for _, path in parts)
         assert lengths[0] == 1
+
+    def test_shared_interior_node_raises(self, monkeypatch):
+        # tree 2 forged onto tree 1's path 0, 1, 2, 2+i: node 1 is on both
+        real = router.route
+
+        def forged(s, d, j, k):
+            return real(s, d, 1 if j == 2 else j, k)
+
+        monkeypatch.setattr(router, "route", forged)
+        with pytest.raises(RoutingError,
+                           match="node 1 lies on trees 1 and 2; paths not disjoint"):
+            secure_split(ZERO, n("2+i"), 3, b"abcd")
