@@ -173,11 +173,12 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     n, parents = node_count(k), parent_rows(k)
     cols = np.arange(n)
     B = np.zeros((n, n), dtype=np.uint8)
+    flat = B.reshape(-1)  # a view: a 1-D index is cheaper than B[anc, cols]
     depth = np.zeros((n, 4), dtype=np.uint8)
     for j in range(4):
         anc = cols
         for _ in range(2 * k + 1):  # climb every node's root path one hop at a time
-            B[anc, cols] |= 1 << j
+            flat[anc * n + cols] |= 1 << j
             moving = anc != 0
             if not moving.any():
                 break

@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gaussnet import _kernels
+from gaussnet import _kernels, simulator
 from gaussnet.core import (
     GaussInt,
     ZERO,
@@ -18,6 +20,7 @@ from gaussnet.core import (
     reduce,
 )
 from gaussnet.simulator import (
+    BLOCK_CELLS,
     SimConfig,
     SimulationError,
     STEP_CONVENTION,
@@ -28,6 +31,8 @@ from gaussnet.simulator import (
     sweep_metadata,
     sweep_table_csv,
     region_resolution_check,
+    _combination_blocks,
+    _sample_fault_sets,
 )
 from gaussnet.trees import build_tree, reach_tables, tree_path
 
@@ -51,6 +56,24 @@ def oracle_first_receipt(k: int, faults: set[GaussInt]) -> dict[GaussInt, int]:
         if best is not None:
             out[v] = best
     return out
+
+
+def dense_sweep_rounds(B, LUT, faults):
+    """Oracle of the flat kernel: the same lookup as a 2-D fancy index."""
+    blocked = np.zeros((len(faults), len(B)), dtype=np.uint8)
+    for q in range(faults.shape[1]):
+        blocked |= B[faults[:, q]]
+    return LUT[np.arange(len(B)), blocked].max(axis=1) + 1
+
+
+def step_counts(k: int, f: int) -> np.ndarray:
+    """c[s]: how many of the C(n-1, f) fault sets give a run of s steps."""
+    B, LUT = reach_tables(k)
+    n = len(B)
+    c = np.zeros(2 * k + 2, dtype=np.int64)
+    for block in _combination_blocks(n, f, BLOCK_CELLS // n):
+        c += np.bincount(_kernels.sweep_rounds(B, LUT, block), minlength=2 * k + 2)
+    return c
 
 
 class TestRun:
@@ -218,11 +241,52 @@ class TestSweep:
         st = sweep(4, 0)
         assert st.runs == 1 and st.avg_max == 5 and st.max_max == 5
 
-    def test_workers_merge(self):
-        # k=6, f=3: 95,284 runs in 8 chunks of the default ~1 MiB size
+    def test_workers_merge(self, monkeypatch):
+        # k=6, f=3: 95,284 runs in 124 blocks of BLOCK_CELLS // 85 = 771 rows;
+        # three threads whatever the host's CPU count
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
         seq = sweep(6, 3, workers=1)
         par = sweep(6, 3, workers=3)
+        assert seq.runs > 3 * 2 * (BLOCK_CELLS // node_count(6))  # > one window
         assert (seq.avg_max, seq.max_max, seq.runs) == (par.avg_max, par.max_max, par.runs)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+        real_pool = simulator.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=2)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", recording_pool)
+        want = sweep(5, 2)
+        for cpus, pools in ((3, [3]), (None, [])):  # None: count unknown, no pool
+            sizes.clear()
+            monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+            got = sweep(5, 2, workers=10**6)
+            assert sizes == pools
+            assert (got.runs, got.avg_max, got.max_max) == (
+                want.runs, want.avg_max, want.max_max
+            )
+
+    @pytest.mark.parametrize(
+        "k, f, runs, avg, mx",
+        [
+            (7, 1, 112, "35/4", 14),
+            (7, 2, 6216, "9761/1036", 14),
+            (7, 3, 227920, "142579/14245", 14),
+            (8, 1, 144, "88/9", 16),
+            (8, 2, 10296, "27023/2574", 16),
+            (8, 3, 487344, "452659/40612", 16),
+            (9, 1, 180, "54/5", 18),
+            (9, 2, 16110, "93146/8055", 18),
+            (9, 3, 955860, "977099/79655", 18),
+        ],
+    )
+    def test_exact_beyond_k6(self, k, f, runs, avg, mx):
+        # the pinned .meta.json outputs fix avg_max exactly only up to k=6
+        st = sweep(k, f)
+        assert (st.runs, st.avg_max, st.max_max) == (runs, Fraction(avg), mx)
 
     def test_sampled_mode(self):
         exact = sweep(3, 2)
@@ -233,8 +297,6 @@ class TestSweep:
         assert again.avg_max == sampled.avg_max
 
     def test_kernel_matches_run(self):
-        import numpy as np
-
         rng = random.Random(31)
         for k in range(1, 7):
             net = network(k)
@@ -269,6 +331,58 @@ class TestSweep:
                 sweep(3, 2, workers=workers)
         with pytest.raises(ValueError, match="seed"):
             sweep(3, 2, seed=5)  # a seed without a sample would be ignored
+
+
+class TestKernel:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_flat_matches_dense_every_fault_set(self, k):
+        B, LUT = reach_tables(k)
+        n = len(B)
+        for f in range(4):
+            for block in _combination_blocks(n, f, BLOCK_CELLS // n):
+                want = dense_sweep_rounds(B, LUT, block)
+                assert np.array_equal(_kernels.sweep_rounds(B, LUT, block), want)
+
+    @pytest.mark.parametrize("k", [*range(8, 17), 45])
+    def test_flat_matches_dense_sampled_triples(self, k):
+        # k=45 is the first order whose flat index 16 v | mask needs uint32;
+        # its 17 MB table is built uncached
+        B, LUT = reach_tables(k) if k < 45 else reach_tables.__wrapped__(k)
+        size = 512 if k < 45 else 32
+        block = _sample_fault_sets(len(B) - 1, 3, size, np.random.default_rng(k)) + 1
+        want = dense_sweep_rounds(B, LUT, block)
+        assert np.array_equal(_kernels.sweep_rounds(B, LUT, block), want)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_combination_blocks_are_itertools_in_order(self, k):
+        n = node_count(k)
+        for f in range(4):
+            want = np.array(list(itertools.combinations(range(1, n), f)))
+            want = want.reshape(math.comb(n - 1, f), f)
+            for size in (1, 7, 100, 10**6):
+                blocks = list(_combination_blocks(n, f, size))
+                assert all(len(b) <= size for b in blocks)
+                assert np.array_equal(np.concatenate(blocks), want), (f, size)
+
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_f1_step_histogram(self, k):
+        # one fault delays 4 nodes' runs by each e = 1..k-1
+        c = step_counts(k, 1)
+        assert list(c[k + 2:2 * k + 1]) == [4] * (k - 1)
+        assert c[k + 1] == node_count(k) - 1 - 4 * (k - 1)
+        assert not c[:k + 1].any() and c[2 * k + 1] == 0
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_f2_step_histogram(self, k):
+        # c_k(e) for runs of k+1+e steps, m = k - e: a closed form in k and m
+        c = step_counts(k, 2)
+        g = 8 * k * k + 8 * k - 14
+        assert c[2 * k] == g
+        for e in range(1, k - 1):
+            m = k - e
+            assert 3 * (c[k + 1 + e] - g) == 2 * m**3 - 6 * m**2 - 44 * m + 60, e
+        assert not c[:k + 1].any() and c[2 * k + 1] == 0
+        assert c[k + 1] == math.comb(node_count(k) - 1, 2) - c[k + 2:].sum()
 
 
 class TestOutputs:
