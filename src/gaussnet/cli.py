@@ -94,6 +94,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    if args.all and args.json:
+        raise ValueError("--json emits one route and cannot be used with --all")
     s, d = parse_node(args.s), parse_node(args.d)
     if args.all:
         routes = []
@@ -328,8 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RoutingError, SimulationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RoutingError, SimulationError, OSError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

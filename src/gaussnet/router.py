@@ -39,7 +39,7 @@ from .core import (
     residue_regions,
     rho,
 )
-from .trees import MIN_TREE_K, reach_tables
+from .trees import _check_tree_k, reach_tables
 
 import json
 
@@ -200,6 +200,7 @@ def start_route(s: GaussInt, d: GaussInt, j: int, k: int) -> GaussInt:
 
 def decide(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
     """The hop route() takes at transient t toward d, both relative to the source."""
+    _check_tree_k(k)
     for name, v in (("transient", t), ("destination", d)):
         if not is_canonical(v, k):
             raise ValueError(f"{name} {v} is not canonical for k={k}")
@@ -224,6 +225,7 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
     is rotated back (a product by the residue of rho^m(1)) and translated by
     s (a sum) once.
     """
+    _check_tree_k(k)
     for name, v in (("source", s), ("destination", d)):
         if not is_canonical(v, k):
             raise ValueError(f"{name} {v} is not canonical for k={k}")
@@ -262,8 +264,7 @@ def broadcast(
     Returns, for every other node, the set of tree indices that delivered.
     With at most three faults every live node receives at least one copy.
     """
-    if k < MIN_TREE_K:
-        raise ValueError(f"broadcast requires k >= {MIN_TREE_K}, got {k}")
+    _check_tree_k(k)
     faults = tuple(faults)
     for v in (s, *faults):
         if not is_canonical(v, k):

@@ -20,13 +20,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -255,35 +254,35 @@ class SweepStats:
         return f"{float(self.avg_max):.3f}"
 
 
-def _combination_blocks(n: int, f: int, size: int) -> Iterator[np.ndarray]:
-    """itertools.combinations(range(1, n), f) as int arrays of at most size
-    rows; the blocks concatenate to its rows, in its order.
+@lru_cache(maxsize=32)
+def _exhaustive_rows(n: int, f: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """(C(n-1, f), rows): rows(lo, hi) is rows lo..hi-1 of
+    itertools.combinations(range(1, n), f) as an int array.
 
     A row is a first fault a followed by a tail, an (f - 1)-subset of
     1..n-1 whose elements all exceed a.  The tails are one lexicographic
-    table (this enumeration at f - 1), in which the tails of a are the rows
-    from searchsorted(first column, a) to the end.  Rows are numbered first
-    fault by first fault, and each block is a run of size consecutive rows,
-    so consecutive first faults share a block.
+    table, built once per (n, f), whose last C(n-1-a, f-1) rows are the
+    tails of a; rows are numbered first fault by first fault.
     """
     if f == 0:
-        yield np.empty((1, 0), dtype=np.intp)
-        return
-    tails = next(_combination_blocks(n, f - 1, math.comb(n - 1, f - 1)))
-    firsts = np.arange(1, n)
-    if f == 1:  # the one empty tail follows every first fault
-        starts = np.zeros_like(firsts)
-    else:
-        starts = np.searchsorted(tails[:, 0], firsts, side="right")
-    ends = np.cumsum(len(tails) - starts)  # one past each first fault's last row
-    total = int(ends[-1])
-    for lo in range(0, total, size):
-        rows = np.arange(lo, min(lo + size, total))
-        a = np.searchsorted(ends, rows, side="right")  # index of the first fault
-        block = np.empty((len(rows), f), dtype=np.intp)
-        block[:, 0] = firsts[a]
-        block[:, 1:] = tails[rows + len(tails) - ends[a]]
-        yield block
+        return 1, lambda lo, hi: np.empty((hi - lo, 0), dtype=np.intp)
+    if f == 1:
+        tails = np.empty((1, 0), dtype=np.intp)  # the one empty tail
+    elif f == 2:
+        tails = np.arange(1, n)[:, None]
+    else:  # the pairs of 1..n-1, in lexicographic order
+        tails = np.column_stack(np.triu_indices(n - 1, 1)) + 1
+    ends = np.cumsum([math.comb(n - 1 - a, f - 1) for a in range(1, n)])
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        r = np.arange(lo, hi)
+        a = np.searchsorted(ends, r, side="right")  # row r has first fault a + 1
+        block = np.empty((hi - lo, f), dtype=np.intp)
+        block[:, 0] = a + 1
+        block[:, 1:] = tails[r + len(tails) - ends[a]]
+        return block
+
+    return int(ends[-1]), rows
 
 
 def _sample_fault_sets(
@@ -314,11 +313,12 @@ def sweep(
     """Run every fault combination (or a sampled budget) and aggregate steps.
 
     Exhaustive mode enumerates all C(n-1, faults) subsets of non-root nodes.
-    Sampling draws `sample` independent uniform subsets.  Blocks of runs are
-    independent; with workers > 1 they execute on a thread pool of
-    min(workers, os.cpu_count()) threads, at most two blocks per thread at a
-    time, and are merged by sum/max, so results do not depend on scheduling.
-    A block holds about BLOCK_CELLS (fault set, node) pairs of kernel state.
+    Sampling draws `sample` independent uniform subsets.  The cell's fault
+    sets are cut into min(workers, os.cpu_count()) contiguous shares of
+    rows; a single share runs inline, more run one per thread of a pool.
+    A share runs its rows one block at a time, about BLOCK_CELLS (fault set,
+    node) pairs of kernel state, and the shares merge by sum and max, so
+    results do not depend on the number of threads.
     """
     if not 0 <= faults <= MAX_FAULTS:
         raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
@@ -333,48 +333,35 @@ def sweep(
     workers = min(workers, os.cpu_count() or 1)
     B, LUT = reach_tables(k)
     n = len(B)
+    if sample is None:
+        total, rows = _exhaustive_rows(n, faults)
+    else:  # fault sets are drawn from every node but the root, residue 0
+        rng = np.random.default_rng(seed)
+        fault_sets = _sample_fault_sets(n - 1, faults, sample, rng)
+        total, rows = sample, lambda lo, hi: fault_sets[lo:hi] + 1
     block_size = max(1, BLOCK_CELLS // n)
 
-    # fault sets are drawn from every node but the root, residue 0
-    if sample is None:
-        blocks = _combination_blocks(n, faults, block_size)
-    else:
-        rng = np.random.default_rng(seed)
-        fault_sets = _sample_fault_sets(n - 1, faults, sample, rng) + 1
-        blocks = (
-            fault_sets[i: i + block_size]
-            for i in range(0, len(fault_sets), block_size)
-        )
+    def run_share(lo: int, hi: int) -> tuple[int, int]:
+        """(sum, max) of the rounds of rows lo..hi-1, one block at a time."""
+        s = m = 0
+        for a in range(lo, hi, block_size):
+            rounds = _kernels.sweep_rounds(B, LUT, rows(a, min(a + block_size, hi)))
+            s, m = s + int(rounds.sum()), max(m, int(rounds.max()))
+        return s, m
 
-    def run_block(block: np.ndarray) -> tuple[int, int, int]:
-        rounds = _kernels.sweep_rounds(B, LUT, block)
-        return int(rounds.sum()), int(rounds.max()), len(rounds)
-
-    def results():
-        if workers == 1:
-            yield from map(run_block, blocks)
-            return
-        # a rolling window of 2 * workers blocks bounds the enumeration held
-        # in memory; results come back in submission order
+    cuts = [total * i // workers for i in range(workers + 1)]
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            window = deque()
-            for block in blocks:
-                window.append(pool.submit(run_block, block))
-                if len(window) == 2 * workers:
-                    yield window.popleft().result()
-            while window:
-                yield window.popleft().result()
-
-    total = mx = count = 0
-    for s, m, c in results():
-        total, mx, count = total + s, max(mx, m), count + c
+            shares = list(pool.map(run_share, cuts[:-1], cuts[1:]))
+    else:
+        shares = [run_share(0, total)]
 
     return SweepStats(
         k=k,
         faults=faults,
-        runs=count,
-        avg_max=Fraction(total, count),
-        max_max=mx,
+        runs=total,
+        avg_max=Fraction(sum(s for s, _ in shares), total),
+        max_max=max(m for _, m in shares),
         sampled=sample is not None,
     )
 

@@ -9,8 +9,6 @@ import itertools
 import random
 from collections import deque
 
-import pytest
-
 from gaussnet.core import (
     GaussInt,
     ZERO,
@@ -28,7 +26,6 @@ from gaussnet.simulator import SimConfig, run, sweep
 from gaussnet.trees import (
     build_tree,
     expand_word,
-    parent_child_spec,
     path_word,
     region_parent_map,
     tree_path,

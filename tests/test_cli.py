@@ -170,6 +170,8 @@ def test_sweep_sampled(tmp_path):
     ["route", "--k", "2", "--s", "0", "--d", "5"],
     ["route", "--k", "2", "--s", "5", "--d", "0"],
     ["sweep", "--k", "2", "--faults", "1", "--seed", "5"],
+    ["sweep", "--k", "2", "--faults", "1", "--sample", "1000000000000000"],  # 7 PiB
+    ["route", "--k", "2", "--s", "0", "--d", "1", "--all", "--json"],
 ])
 def test_bad_input_one_line_usage_error(argv, tmp_path, capsys):
     if argv[0] == "sweep":

@@ -1,12 +1,14 @@
-"""Static checks on the package source, with the standard library only."""
+"""Static checks on the package source and the tests, with the standard library only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gaussnet"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    p for p in (ROOT / "src" / "gaussnet").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -156,24 +156,16 @@ class TestRoute:
                     for b in range(a + 1, 4):
                         assert not interiors[a] & interiors[b]
 
-    def test_k1_routes_fail_as_tree_mismatch(self):
-        # k = 1 has no trees; the grid sends 20 of its 80 routes onto the
-        # wrong tree, and route() must say so rather than return a path
-        nodes = diamond_nodes(1)
-        failures = 0
-        for s in nodes:
-            for d in nodes:
-                for j in (1, 2, 3, 4):
-                    if s == d:
-                        continue
-                    try:
-                        route(s, d, j, 1)
-                    except RoutingError as exc:
-                        assert "serves tree" in str(exc)
-                        failures += 1
-        assert failures == 20
-        with pytest.raises(RoutingError, match="decision at 1 serves tree 1, expected 4"):
-            route(ZERO, n("-1"), 4, 1)
+    def test_rejects_k1(self):
+        # k = 1 has no trees, so every routing call refuses it as broadcast does
+        for call in (
+            lambda: route(ZERO, n("-i"), 1, 1),
+            lambda: route(ZERO, n("1"), 1, 1),
+            lambda: decide(n("1"), n("i"), 1),
+            lambda: secure_split(ZERO, n("1"), 1, b"abcd"),
+        ):
+            with pytest.raises(ValueError, match="k >= 2, got 1"):
+                call()
 
     def test_trace_format(self):
         trace = format_trace(route(ZERO, n("-2+2i"), 1, 4), 1, 4)

@@ -31,7 +31,7 @@ from gaussnet.simulator import (
     sweep_metadata,
     sweep_table_csv,
     region_resolution_check,
-    _combination_blocks,
+    _exhaustive_rows,
     _sample_fault_sets,
 )
 from gaussnet.trees import build_tree, reach_tables, tree_path
@@ -66,12 +66,19 @@ def dense_sweep_rounds(B, LUT, faults):
     return LUT[np.arange(len(B)), blocked].max(axis=1) + 1
 
 
+def exhaustive_blocks(n: int, f: int):
+    """An exhaustive cell's C(n-1, f) fault sets, BLOCK_CELLS // n rows at a time."""
+    total, rows = _exhaustive_rows(n, f)
+    size = BLOCK_CELLS // n
+    for lo in range(0, total, size):
+        yield rows(lo, min(lo + size, total))
+
+
 def step_counts(k: int, f: int) -> np.ndarray:
     """c[s]: how many of the C(n-1, f) fault sets give a run of s steps."""
     B, LUT = reach_tables(k)
-    n = len(B)
     c = np.zeros(2 * k + 2, dtype=np.int64)
-    for block in _combination_blocks(n, f, BLOCK_CELLS // n):
+    for block in exhaustive_blocks(len(B), f):
         c += np.bincount(_kernels.sweep_rounds(B, LUT, block), minlength=2 * k + 2)
     return c
 
@@ -242,13 +249,17 @@ class TestSweep:
         assert st.runs == 1 and st.avg_max == 5 and st.max_max == 5
 
     def test_workers_merge(self, monkeypatch):
-        # k=6, f=3: 95,284 runs in 124 blocks of BLOCK_CELLS // 85 = 771 rows;
-        # three threads whatever the host's CPU count
+        # k=6, f=3: three threads whatever the host's CPU count, each taking a
+        # share of 31,761 exhaustive or 1,666 sampled rows, more than one
+        # block of BLOCK_CELLS // 85 = 771 rows
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-        seq = sweep(6, 3, workers=1)
-        par = sweep(6, 3, workers=3)
-        assert seq.runs > 3 * 2 * (BLOCK_CELLS // node_count(6))  # > one window
-        assert (seq.avg_max, seq.max_max, seq.runs) == (par.avg_max, par.max_max, par.runs)
+        for sampling in ({}, {"sample": 5000, "seed": 11}):
+            seq = sweep(6, 3, workers=1, **sampling)
+            par = sweep(6, 3, workers=3, **sampling)
+            assert seq.runs // 3 > BLOCK_CELLS // node_count(6)
+            assert (seq.avg_max, seq.max_max, seq.runs, seq.sampled) == (
+                par.avg_max, par.max_max, par.runs, par.sampled
+            )
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         sizes = []
@@ -337,9 +348,8 @@ class TestKernel:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_flat_matches_dense_every_fault_set(self, k):
         B, LUT = reach_tables(k)
-        n = len(B)
         for f in range(4):
-            for block in _combination_blocks(n, f, BLOCK_CELLS // n):
+            for block in exhaustive_blocks(len(B), f):
                 want = dense_sweep_rounds(B, LUT, block)
                 assert np.array_equal(_kernels.sweep_rounds(B, LUT, block), want)
 
@@ -355,14 +365,22 @@ class TestKernel:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_combination_blocks_are_itertools_in_order(self, k):
-        n = node_count(k)
+        # rows(lo, hi) between any cut points, empty runs included, joins
+        # to the exhaustive cell in itertools.combinations order
+        n, rng = node_count(k), random.Random(k)
         for f in range(4):
             want = np.array(list(itertools.combinations(range(1, n), f)))
             want = want.reshape(math.comb(n - 1, f), f)
-            for size in (1, 7, 100, 10**6):
-                blocks = list(_combination_blocks(n, f, size))
-                assert all(len(b) <= size for b in blocks)
-                assert np.array_equal(np.concatenate(blocks), want), (f, size)
+            total, rows = _exhaustive_rows(n, f)
+            assert total == len(want)
+            for cuts in (
+                [0, total],
+                [*range(0, total, 7), total],
+                sorted([0, total, *rng.choices(range(total + 1), k=6)]),
+            ):
+                blocks = [rows(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+                assert [len(b) for b in blocks] == np.diff(cuts).tolist()
+                assert np.array_equal(np.concatenate(blocks), want), (f, cuts)
 
     @pytest.mark.parametrize("k", range(2, 31))
     def test_f1_step_histogram(self, k):
