@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import Counter
@@ -229,18 +230,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    meta_out = args.meta_out or args.avg_out + ".meta.json"
+    outs = (args.avg_out, args.max_out, meta_out)
+    if len({os.path.abspath(p) for p in outs}) < len(outs):
+        raise ValueError(f"output paths must differ: {', '.join(outs)}")
     ks = _parse_range(args.k)
     fs = _parse_range(args.faults)
     stats = {}
     for k in ks:
         for f in fs:
             t0 = time.perf_counter()
-            st = sweep(
-                k, f,
-                sample=args.sample,
-                seed=args.seed,
-                workers=args.workers,
-            )
+            st = sweep(k, f, sample=args.sample, seed=args.seed, workers=args.workers)
             stats[(k, f)] = st
             dt = time.perf_counter() - t0
             print(
@@ -250,7 +250,6 @@ def _cmd_sweep(args) -> int:
             )
     Path(args.avg_out).write_text(sweep_table_csv(stats, ks, fs, "avg"))
     Path(args.max_out).write_text(sweep_table_csv(stats, ks, fs, "max"))
-    meta_out = args.meta_out or args.avg_out + ".meta.json"
     Path(meta_out).write_text(sweep_metadata(stats) + "\n")
     return EXIT_OK
 

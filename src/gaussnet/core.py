@@ -19,17 +19,29 @@ from functools import lru_cache
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False)
 class GaussInt:
-    """A Gaussian integer x + yi with exact (arbitrary-size) components."""
+    """A Gaussian integer x + yi with exact (arbitrary-size) components.
 
+    Its hash is computed once, at construction: nodes key most dicts here.
+    """
+
+    __slots__ = ("x", "y", "_hash")
     x: int
     y: int
 
-    def __hash__(self) -> int:
+    def __init__(self, x: int, y: int) -> None:
         # An odd integer per point, so never -2, the one int that hashes like
         # -1; hash((x, y)) made points differing by a -1 / -2 coordinate collide.
-        return hash(2 * ((self.x << 32) + self.y) + 1)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_hash(self, hash(2 * ((x << 32) + y) + 1))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GaussInt, (self.x, self.y)
 
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.x + other.x, self.y + other.y)
@@ -59,6 +71,9 @@ class GaussInt:
     def __repr__(self) -> str:
         return f"GaussInt({self.x}, {self.y})"
 
+
+# the slots' own setters, since the frozen class's __setattr__ raises
+_set_x, _set_y, _set_hash = (GaussInt.__dict__[a].__set__ for a in GaussInt.__slots__)
 
 ZERO = GaussInt(0, 0)
 ONE = GaussInt(1, 0)

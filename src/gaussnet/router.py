@@ -195,7 +195,7 @@ def start_route(s: GaussInt, d: GaussInt, j: int, k: int) -> GaussInt:
         raise ValueError(f"tree index must be 1..4, got {j}")
     if s == d:
         raise ValueError("source equals destination")
-    return rho(ONE, j - 1)
+    return (_R1, _UP, _L1, _DN)[j - 1]  # rho^(j-1)(+1), without building it
 
 
 def decide(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:

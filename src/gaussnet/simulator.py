@@ -23,7 +23,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -114,10 +114,19 @@ class SimRun:
     last_active_round: int
     messages_sent: int
     messages_per_round: tuple[int, ...]
-    trees_resolved: Mapping[GaussInt, NodeState]
 
     def reached(self) -> set[GaussInt]:
         return {v for v in self.first_receipt if v != self.config.root}
+
+    @cached_property
+    def trees_resolved(self) -> Mapping[GaussInt, NodeState]:
+        """Each reached node but the root: its state, derived on first read."""
+        k, root = self.config.k, self.config.root
+        nodes, rows, resolved = network(k).nodes, _region_rows(k), {}
+        for v, r in self.first_receipt.items():
+            if i := residue(v - root, k):  # v's residue relative to the root
+                resolved[v] = NodeState(nodes[i], r, rows[i])
+        return MappingProxyType(resolved)
 
 
 @lru_cache(maxsize=32)
@@ -196,33 +205,18 @@ def run(config: SimConfig) -> SimRun:
     for r in reached_rounds:
         messages_per_round[r + 1] += 3
 
-    rows = _region_rows(k)
-    first_receipt: dict[GaussInt, int] = {}
-    resolved: dict[GaussInt, NodeState] = {}
-    for i, r in first_rel.items():
-        v = nodes[(i + r_root) % n]
-        first_receipt[v] = r
-        if i:
-            resolved[v] = NodeState(
-                relative_address=nodes[i], first_round=r, rows=rows[i]
-            )
-
     return SimRun(
         config=config,
-        first_receipt=first_receipt,
+        first_receipt={nodes[(i + r_root) % n]: r for i, r in first_rel.items()},
         last_active_round=last_active,
         messages_sent=sum(messages_per_round),
         messages_per_round=tuple(messages_per_round[1:]),
-        trees_resolved=resolved,
     )
 
 
 def reachability_report(sim: SimRun) -> dict[GaussInt, bool]:
     """True per node when the run delivered to it; faulty nodes are False."""
-    out = {}
-    for v in network(sim.config.k).nodes:
-        out[v] = v in sim.first_receipt
-    return out
+    return {v: v in sim.first_receipt for v in network(sim.config.k).nodes}
 
 
 def region_resolution_check(k: int) -> bool:

@@ -172,14 +172,17 @@ def test_sweep_sampled(tmp_path):
     ["sweep", "--k", "2", "--faults", "1", "--seed", "5"],
     ["sweep", "--k", "2", "--faults", "1", "--sample", "1000000000000000"],  # 7 PiB
     ["route", "--k", "2", "--s", "0", "--d", "1", "--all", "--json"],
+    ["sweep", "--k", "2", "--faults", "1", "--max-out", "a.csv"],
+    ["sweep", "--k", "2", "--faults", "1", "--meta-out", "./m.csv"],
 ])
-def test_bad_input_one_line_usage_error(argv, tmp_path, capsys):
-    if argv[0] == "sweep":
-        argv = argv + ["--avg-out", str(tmp_path / "a.csv"),
-                       "--max-out", str(tmp_path / "m.csv")]
+def test_bad_input_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "sweep":  # the case's own outputs, if any, come last and win
+        argv = argv[:1] + ["--avg-out", "a.csv", "--max-out", "m.csv"] + argv[1:]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulation_error_is_usage_error(monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """Arithmetic, canonical residues, partition, and topology checks."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -75,6 +78,31 @@ class TestGaussInt:
     def test_diamond_hashes_distinct(self, k):
         nodes = diamond_nodes(k)
         assert len({hash(v) for v in nodes}) == len(nodes)
+
+    def test_hash_formula(self):
+        coords = (0, 1, -1, 2, -2, 7, -3, 2**32 - 1, -(2**32),
+                  2**70, -(2**70) - 1, 3**50)
+        for x in coords:
+            for y in coords:
+                assert hash(GaussInt(x, y)) == hash(2 * ((x << 32) + y) + 1), (x, y)
+
+    def test_copies_equal_with_equal_hash(self):
+        for v in (GaussInt(3, -2), GaussInt(-1, -2), GaussInt(2**70, -(2**71))):
+            copies = [copy.copy(v), copy.deepcopy(v), dataclasses.replace(v)]
+            copies += [pickle.loads(pickle.dumps(v, p))
+                       for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for c in copies:
+                assert type(c) is GaussInt and c == v and hash(c) == hash(v)
+            moved = dataclasses.replace(v, y=5)
+            assert moved == GaussInt(v.x, 5) and hash(moved) == hash(GaussInt(v.x, 5))
+
+    def test_dataclass_surface(self):
+        v = GaussInt(3, -2)
+        assert tuple(f.name for f in dataclasses.fields(v)) == ("x", "y")
+        assert dataclasses.astuple(v) == (3, -2)
+        assert repr(v) == "GaussInt(3, -2)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.x = 4
 
     def test_node_count(self):
         for k in range(1, 10):

@@ -13,6 +13,7 @@ from gaussnet import _kernels, simulator
 from gaussnet.core import (
     GaussInt,
     ZERO,
+    classify,
     diamond_nodes,
     network,
     node_count,
@@ -21,6 +22,7 @@ from gaussnet.core import (
 )
 from gaussnet.simulator import (
     BLOCK_CELLS,
+    NodeState,
     SimConfig,
     SimulationError,
     STEP_CONVENTION,
@@ -34,7 +36,7 @@ from gaussnet.simulator import (
     _exhaustive_rows,
     _sample_fault_sets,
 )
-from gaussnet.trees import build_tree, reach_tables, tree_path
+from gaussnet.trees import build_tree, parent_child_spec, reach_tables, tree_path
 
 
 def n(text: str) -> GaussInt:
@@ -198,6 +200,62 @@ class TestResolution:
         state = next(iter(b.trees_resolved.values()))
         with pytest.raises(TypeError):
             state.rows[1] = (GaussInt(1, 0), frozenset())
+
+
+def eager_trees_resolved(sim) -> dict[GaussInt, NodeState]:
+    """Oracle: each reached non-root node's state, built eagerly in receipt order.
+
+    The rows come from the node's region relative to the root, through
+    parent_child_spec; k = 1 builds no trees, so its rows are empty.
+    """
+    k, root, out = sim.config.k, sim.config.root, {}
+    for v, r in sim.first_receipt.items():
+        if v != root:
+            rel = reduce(v - root, k)
+            rows = {} if k == 1 else {
+                j: parent_child_spec(classify(rel, k), j) for j in (1, 2, 3, 4)
+            }
+            out[v] = NodeState(relative_address=rel, first_round=r, rows=rows)
+    return out
+
+
+class TestLazyResolution:
+    def test_matches_eager_oracle(self):
+        rng = random.Random(15)
+        for k in range(1, 10):
+            others = [v for v in diamond_nodes(k) if v != ZERO]
+            for _ in range(6):
+                root = rng.choice(others)
+                pool = [v for v in diamond_nodes(k) if v != root]
+                faults = frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+                sim = run(SimConfig(k=k, root=root, faults=faults))
+                want = eager_trees_resolved(sim)
+                got = sim.trees_resolved
+                assert list(got) == list(want) and dict(got) == want, (k, root, faults)
+
+    def test_repeated_reads_share_one_read_only_mapping(self):
+        sim = run(SimConfig(k=4, root=n("1-2i"), faults=frozenset({n("2")})))
+        first = sim.trees_resolved
+        assert sim.trees_resolved is first
+        with pytest.raises(TypeError):
+            first[n("1")] = next(iter(first.values()))
+
+    def test_run_builds_no_state_and_reads_no_sweep_table(self, monkeypatch):
+        made = []
+        real = simulator.NodeState
+
+        def counting(*args, **kwargs):
+            made.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        def no_table(k):
+            raise AssertionError("run() read a sweep table")
+
+        monkeypatch.setattr(simulator, "NodeState", counting)
+        monkeypatch.setattr(simulator, "reach_tables", no_table)
+        sim = run(SimConfig(k=6, root=n("2+i"), faults=frozenset({n("1"), n("-3i")})))
+        assert made == []
+        assert len(sim.trees_resolved) == len(made) == len(sim.first_receipt) - 1
 
 
 class TestReachability:
