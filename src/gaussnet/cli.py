@@ -7,6 +7,7 @@ import os
 import sys
 import time
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 from .core import (
@@ -69,6 +70,19 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _check_outputs(paths: list[str]) -> None:
+    """Fail before any work unless each absolute path can be written as a
+    file: not a directory, in a directory that exists and is writable."""
+    for p in paths:
+        if os.path.isdir(p):
+            raise IsADirectoryError(f"output is a directory: {p}")
+    for parent in dict.fromkeys(os.path.dirname(p) for p in paths):
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"no such output directory: {parent}")
+        if not os.access(parent, os.W_OK):
+            raise PermissionError(f"output directory is not writable: {parent}")
 
 
 def _cmd_gen(args) -> int:
@@ -208,6 +222,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trace:
+        _check_outputs([os.path.abspath(args.trace)])
     faults = [parse_node(t) for t in args.faults.split(",")] if args.faults else []
     if len(set(faults)) != len(faults):
         raise ValueError(f"duplicate fault literal in {args.faults!r}")
@@ -232,8 +248,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     meta_out = args.meta_out or args.avg_out + ".meta.json"
     outs = (args.avg_out, args.max_out, meta_out)
-    if len({os.path.abspath(p) for p in outs}) < len(outs):
+    abs_outs = [os.path.abspath(p) for p in outs]
+    if len(set(abs_outs)) < len(outs):
         raise ValueError(f"output paths must differ: {', '.join(outs)}")
+    _check_outputs(abs_outs)
     ks = _parse_range(args.k)
     fs = _parse_range(args.faults)
     stats = {}
@@ -268,7 +286,11 @@ def _tree_k(text: str) -> int:
     return k
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process so that repeated main() calls do
+    not rebuild it.  It is shared: callers must not mutate it.  Each verb's
+    handler is bound at that first build; patch what a handler calls."""
     parser = argparse.ArgumentParser(
         prog="gaussnet",
         description="Dense Gaussian networks: trees, routing, fault simulation.",

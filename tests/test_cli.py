@@ -1,10 +1,17 @@
 """Command-line surface: verbs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gaussnet.cli import EXIT_OK, EXIT_USAGE, main
+from gaussnet import cli
+from gaussnet.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_gen_json_node_counts(tmp_path, capsys):
@@ -73,7 +80,7 @@ def test_route_all_disjoint(capsys):
 
 
 def test_route_all_not_disjoint(monkeypatch, capsys):
-    from gaussnet import cli, router
+    from gaussnet import router
 
     real = router.route
 
@@ -174,25 +181,104 @@ def test_sweep_sampled(tmp_path):
     ["route", "--k", "2", "--s", "0", "--d", "1", "--all", "--json"],
     ["sweep", "--k", "2", "--faults", "1", "--max-out", "a.csv"],
     ["sweep", "--k", "2", "--faults", "1", "--meta-out", "./m.csv"],
+    ["sweep", "--k", "2", "--faults", "1", "--max-out", "nodir/m.csv"],
+    ["sweep", "--k", "2", "--faults", "1", "--avg-out", "."],
+    ["simulate", "--k", "2", "--trace", "nodir/t.json"],
 ])
 def test_bad_input_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     if argv[0] == "sweep":  # the case's own outputs, if any, come last and win
         argv = argv[:1] + ["--avg-out", "a.csv", "--max-out", "m.csv"] + argv[1:]
     assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""  # no report, no progress: it failed before any work
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_entry_point_bad_output_exits_2(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussnet", "sweep", "--k", "2", "--faults", "1",
+         "--avg-out", str(tmp_path / "nodir" / "a.csv"),
+         "--max-out", str(tmp_path / "m.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
 def test_simulation_error_is_usage_error(monkeypatch, capsys):
-    from gaussnet import cli
     from gaussnet.simulator import SimulationError
 
     def capped(config):
         raise SimulationError("exceeded max_rounds=1 at round 2")
 
+    # the shared parser is built before the patch, and the patch still holds
+    assert main(["simulate", "--k", "2"]) == EXIT_OK
+    capsys.readouterr()
     monkeypatch.setattr(cli, "run", capped)
     assert main(["simulate", "--k", "3"]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: exceeded max_rounds=1 at round 2"]
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--k", "0"])
+    assert exc.value.code == EXIT_USAGE
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    for d in (first, second):
+        d.mkdir()
+    assert main(["sweep", "--k", "2", "--faults", "1",
+                 "--avg-out", str(first / "a.csv"), "--max-out", str(first / "m.csv"),
+                 "--meta-out", str(first / "meta.json")]) == EXIT_OK
+    assert main(["sweep", "--k", "2", "--faults", "1",
+                 "--avg-out", str(second / "a.csv"),
+                 "--max-out", str(second / "m.csv")]) == EXIT_OK
+    assert sorted(p.name for p in first.iterdir()) == ["a.csv", "m.csv", "meta.json"]
+    assert sorted(p.name for p in second.iterdir()) == [
+        "a.csv", "a.csv.meta.json", "m.csv"]
+
+
+def _sweep_outputs(tmp_path, ks, fs):
+    """One `sweep` call -> ({(alpha, row label): (avg, max)}, {(alpha, f): exact})."""
+    avg, mx = tmp_path / "a.csv", tmp_path / "m.csv"
+    assert main(["sweep", "--k", ks, "--faults", fs,
+                 "--avg-out", str(avg), "--max-out", str(mx)]) == EXIT_OK
+    cells = {}
+    avg_rows, max_rows = avg.read_text().splitlines(), mx.read_text().splitlines()
+    header = avg_rows[0].split(",")[1:]
+    for avg_row, max_row in zip(avg_rows[1:], max_rows[1:]):
+        label, *avg_cells = avg_row.split(",")
+        for alpha, a, m in zip(header, avg_cells, max_row.split(",")[1:]):
+            cells[(alpha, label)] = (a, m)
+    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    exact = {(c["alpha"], c["faults"]): c["avg_max_exact"] for c in meta["cells"]}
+    return cells, exact
+
+
+def test_one_call_per_cell_matches_one_table_call(tmp_path, capsys):
+    per_cell, per_cell_exact = {}, {}
+    for k in range(1, 5):
+        for f in range(4):
+            out = tmp_path / f"k{k}f{f}"
+            out.mkdir()
+            cells, exact = _sweep_outputs(out, str(k), str(f))
+            per_cell.update(cells)
+            per_cell_exact.update(exact)
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    cells, exact = _sweep_outputs(whole, "1..4", "0..3")
+    assert len(cells) == len(exact) == 16
+    assert per_cell == cells
+    assert per_cell_exact == exact
