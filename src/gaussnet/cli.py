@@ -86,6 +86,7 @@ def _check_outputs(paths: list[str]) -> None:
 
 
 def _cmd_gen(args) -> int:
+    _check_outputs([os.path.abspath(args.out)] if args.out else [])
     net = network(args.k)
     text = net.to_json() + "\n" if args.format == "json" else net.to_dot()
     _write_output(text, args.out)
@@ -102,6 +103,7 @@ def _cmd_tree(args) -> int:
             text = t.to_json() + "\n" if args.format == "json" else t.to_dot()
             (outdir / f"tree_j{j}_k{args.k}.{args.format}").write_text(text)
     else:
+        _check_outputs([os.path.abspath(args.out)] if args.out else [])
         t = build_tree(indices[0], args.k)
         text = t.to_json() + "\n" if args.format == "json" else t.to_dot()
         _write_output(text, args.out)

@@ -235,14 +235,26 @@ def region_resolution_check(k: int) -> bool:
 
 @dataclass(frozen=True)
 class SweepStats:
-    """Aggregate of one (k, fault count) sweep; avg_max is an exact rational."""
+    """Aggregate of one (k, fault count) sweep: step_counts[s] is the number
+    of runs that took s steps (length 2k+2).  The run count, the exact
+    rational average and the maximum are derived from it."""
 
     k: int
     faults: int
-    runs: int
-    avg_max: Fraction
-    max_max: int
+    step_counts: tuple[int, ...]
     sampled: bool = False
+
+    @property
+    def runs(self) -> int:
+        return sum(self.step_counts)
+
+    @property
+    def avg_max(self) -> Fraction:
+        return Fraction(sum(s * c for s, c in enumerate(self.step_counts)), self.runs)
+
+    @property
+    def max_max(self) -> int:
+        return max(s for s, c in enumerate(self.step_counts) if c)
 
     def avg_text(self) -> str:
         return f"{float(self.avg_max):.3f}"
@@ -254,18 +266,15 @@ def _exhaustive_rows(n: int, f: int) -> tuple[int, Callable[[int, int], np.ndarr
     itertools.combinations(range(1, n), f) as an int array.
 
     A row is a first fault a followed by a tail, an (f - 1)-subset of
-    1..n-1 whose elements all exceed a.  The tails are one lexicographic
-    table, built once per (n, f), whose last C(n-1-a, f-1) rows are the
-    tails of a; rows are numbered first fault by first fault.
+    1..n-1 whose elements all exceed a.  The tails are every (f - 1)-subset
+    in lexicographic order, the whole of _exhaustive_rows(n, f - 1), whose
+    last C(n-1-a, f-1) rows are the tails of a; rows are numbered first
+    fault by first fault.
     """
     if f == 0:
         return 1, lambda lo, hi: np.empty((hi - lo, 0), dtype=np.intp)
-    if f == 1:
-        tails = np.empty((1, 0), dtype=np.intp)  # the one empty tail
-    elif f == 2:
-        tails = np.arange(1, n)[:, None]
-    else:  # the pairs of 1..n-1, in lexicographic order
-        tails = np.column_stack(np.triu_indices(n - 1, 1)) + 1
+    n_tails, tail_rows = _exhaustive_rows(n, f - 1)
+    tails = tail_rows(0, n_tails)
     ends = np.cumsum([math.comb(n - 1 - a, f - 1) for a in range(1, n)])
 
     def rows(lo: int, hi: int) -> np.ndarray:
@@ -311,8 +320,9 @@ def sweep(
     sets are cut into min(workers, os.cpu_count()) contiguous shares of
     rows; a single share runs inline, more run one per thread of a pool.
     A share runs its rows one block at a time, about BLOCK_CELLS (fault set,
-    node) pairs of kernel state, and the shares merge by sum and max, so
-    results do not depend on the number of threads.
+    node) pairs of kernel state, into one step-count histogram, and the
+    shares' histograms add, so results do not depend on the number of
+    threads.
     """
     if not 0 <= faults <= MAX_FAULTS:
         raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
@@ -322,6 +332,8 @@ def sweep(
         raise ValueError(f"sample must be >= 1, got {sample}")
     if sample is None and seed is not None:
         raise ValueError("seed applies only to a sampled sweep")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -335,29 +347,22 @@ def sweep(
         total, rows = sample, lambda lo, hi: fault_sets[lo:hi] + 1
     block_size = max(1, BLOCK_CELLS // n)
 
-    def run_share(lo: int, hi: int) -> tuple[int, int]:
-        """(sum, max) of the rounds of rows lo..hi-1, one block at a time."""
-        s = m = 0
+    def run_share(lo: int, hi: int) -> np.ndarray:
+        """Step-count histogram of rows lo..hi-1, one block at a time."""
+        counts = np.zeros(2 * k + 2, dtype=np.int64)
         for a in range(lo, hi, block_size):
             rounds = _kernels.sweep_rounds(B, LUT, rows(a, min(a + block_size, hi)))
-            s, m = s + int(rounds.sum()), max(m, int(rounds.max()))
-        return s, m
+            counts += np.bincount(rounds, minlength=2 * k + 2)
+        return counts
 
     cuts = [total * i // workers for i in range(workers + 1)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(run_share, cuts[:-1], cuts[1:]))
+            counts = sum(pool.map(run_share, cuts[:-1], cuts[1:]))
     else:
-        shares = [run_share(0, total)]
+        counts = run_share(0, total)
 
-    return SweepStats(
-        k=k,
-        faults=faults,
-        runs=total,
-        avg_max=Fraction(sum(s for s, _ in shares), total),
-        max_max=max(m for _, m in shares),
-        sampled=sample is not None,
-    )
+    return SweepStats(k, faults, tuple(counts.tolist()), sampled=sample is not None)
 
 
 def fault_label(f: int) -> str:

@@ -184,6 +184,10 @@ def test_sweep_sampled(tmp_path):
     ["sweep", "--k", "2", "--faults", "1", "--max-out", "nodir/m.csv"],
     ["sweep", "--k", "2", "--faults", "1", "--avg-out", "."],
     ["simulate", "--k", "2", "--trace", "nodir/t.json"],
+    ["sweep", "--k", "1..2", "--faults", "0..1", "--sample", "5", "--seed=-1"],
+    ["gen", "--k", "3", "--out", "nodir/g.dot"],
+    ["gen", "--k", "3", "--out", "."],
+    ["tree", "--k", "3", "--j", "1", "--out", "nodir/t.json"],
 ])
 def test_bad_input_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -194,6 +198,19 @@ def test_bad_input_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""  # no report, no progress: it failed before any work
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_output_fails_before_the_build(tmp_path, monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("built before the output was checked")
+
+    monkeypatch.setattr(cli, "network", no_build)
+    monkeypatch.setattr(cli, "build_tree", no_build)
+    for argv in (["gen", "--k", "3", "--out", str(tmp_path / "nodir" / "g.dot")],
+                 ["tree", "--k", "3", "--j", "2", "--out", str(tmp_path)]):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 
 

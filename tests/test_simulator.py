@@ -1,5 +1,6 @@
 """Synchronous construction runs, fault sweeps, and the sweep kernel."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from gaussnet.simulator import (
     SimConfig,
     SimulationError,
     STEP_CONVENTION,
+    SweepStats,
     reachability_report,
     run,
     simrun_trace_json,
@@ -74,15 +76,6 @@ def exhaustive_blocks(n: int, f: int):
     size = BLOCK_CELLS // n
     for lo in range(0, total, size):
         yield rows(lo, min(lo + size, total))
-
-
-def step_counts(k: int, f: int) -> np.ndarray:
-    """c[s]: how many of the C(n-1, f) fault sets give a run of s steps."""
-    B, LUT = reach_tables(k)
-    c = np.zeros(2 * k + 2, dtype=np.int64)
-    for block in exhaustive_blocks(len(B), f):
-        c += np.bincount(_kernels.sweep_rounds(B, LUT, block), minlength=2 * k + 2)
-    return c
 
 
 class TestRun:
@@ -315,9 +308,7 @@ class TestSweep:
             seq = sweep(6, 3, workers=1, **sampling)
             par = sweep(6, 3, workers=3, **sampling)
             assert seq.runs // 3 > BLOCK_CELLS // node_count(6)
-            assert (seq.avg_max, seq.max_max, seq.runs, seq.sampled) == (
-                par.avg_max, par.max_max, par.runs, par.sampled
-            )
+            assert (seq.step_counts, seq.sampled) == (par.step_counts, par.sampled)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         sizes = []
@@ -334,9 +325,7 @@ class TestSweep:
             monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
             got = sweep(5, 2, workers=10**6)
             assert sizes == pools
-            assert (got.runs, got.avg_max, got.max_max) == (
-                want.runs, want.avg_max, want.max_max
-            )
+            assert got.step_counts == want.step_counts
 
     @pytest.mark.parametrize(
         "k, f, runs, avg, mx",
@@ -356,6 +345,38 @@ class TestSweep:
         # the pinned .meta.json outputs fix avg_max exactly only up to k=6
         st = sweep(k, f)
         assert (st.runs, st.avg_max, st.max_max) == (runs, Fraction(avg), mx)
+        if f == 3:  # the runs of 2k steps, ROADMAP item 8's top count
+            assert st.step_counts[2 * k] == {7: 23336, 8: 39208, 9: 61960}[k]
+
+    @pytest.mark.parametrize(
+        "k, counts",
+        [
+            (2, [0, 0, 0, 84, 136, 0]),
+            (3, [0, 0, 0, 0, 616, 600, 808, 0]),
+            (4, [0, 0, 0, 0, 0, 3272, 1808, 2200, 2600, 0]),
+            (5, [0] * 6 + [12596, 4696, 5008, 5640, 6280, 0]),
+            (6, [0] * 7 + [38368, 10716, 10552, 10960, 11880, 12808, 0]),
+        ],
+    )
+    def test_f3_step_histogram(self, k, counts):
+        assert sweep(k, 3).step_counts == tuple(counts)
+
+    def test_stats_store_only_the_histogram(self):
+        # runs, avg_max and max_max are derived from step_counts
+        assert [f.name for f in dataclasses.fields(SweepStats)] == [
+            "k", "faults", "step_counts", "sampled"
+        ]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_step_counts_span_k_plus_1_to_2k(self, k):
+        for f, sampling in itertools.product(range(4), ({}, dict(sample=300, seed=k))):
+            st = sweep(k, f, **sampling)
+            c = st.step_counts
+            assert len(c) == 2 * k + 2
+            runs = sampling.get("sample", math.comb(node_count(k) - 1, f))
+            assert sum(c) == st.runs == runs
+            steps = range(k + 1, 2 * k + 1) if f else [k + 1]  # f=0: k+1 steps only
+            assert all(c[s] == 0 for s in range(2 * k + 2) if s not in steps), (f, c)
 
     def test_sampled_mode(self):
         exact = sweep(3, 2)
@@ -400,6 +421,8 @@ class TestSweep:
                 sweep(3, 2, workers=workers)
         with pytest.raises(ValueError, match="seed"):
             sweep(3, 2, seed=5)  # a seed without a sample would be ignored
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sweep(3, 2, sample=10, seed=-1)
 
 
 class TestKernel:
@@ -443,7 +466,7 @@ class TestKernel:
     @pytest.mark.parametrize("k", range(2, 31))
     def test_f1_step_histogram(self, k):
         # one fault delays 4 nodes' runs by each e = 1..k-1
-        c = step_counts(k, 1)
+        c = np.array(sweep(k, 1).step_counts)
         assert list(c[k + 2:2 * k + 1]) == [4] * (k - 1)
         assert c[k + 1] == node_count(k) - 1 - 4 * (k - 1)
         assert not c[:k + 1].any() and c[2 * k + 1] == 0
@@ -451,7 +474,7 @@ class TestKernel:
     @pytest.mark.parametrize("k", range(2, 17))
     def test_f2_step_histogram(self, k):
         # c_k(e) for runs of k+1+e steps, m = k - e: a closed form in k and m
-        c = step_counts(k, 2)
+        c = np.array(sweep(k, 2).step_counts)
         g = 8 * k * k + 8 * k - 14
         assert c[2 * k] == g
         for e in range(1, k - 1):
