@@ -31,6 +31,7 @@ from .router import (
 from .simulator import (
     SimConfig,
     SimulationError,
+    check_sweep,
     fault_label,
     reachability_report,
     run,
@@ -256,6 +257,9 @@ def _cmd_sweep(args) -> int:
     _check_outputs(abs_outs)
     ks = _parse_range(args.k)
     fs = _parse_range(args.faults)
+    for k in ks:  # every cell's arguments, before the first cell runs
+        for f in fs:
+            check_sweep(k, f, args.sample, args.seed, args.workers)
     stats = {}
     for k in ks:
         for f in fs:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Iterator
+from functools import wraps
+from typing import Callable, Iterator
 
 
 @dataclass(frozen=True, init=False)
@@ -107,6 +108,37 @@ def alpha(k: int) -> GaussInt:
 
 def node_count(k: int) -> int:
     return 2 * k * k + 2 * k + 1
+
+
+#: The weight kept for the k's other than the newest: a k weighs n^2, the
+#: bytes of its largest table, B, so every k <= 15 is kept at once.
+TABLE_BUDGET = 1 << 20
+_TABLES: dict[int, dict] = {}  # k -> {key: table}, first-seen k first
+_LOCK = threading.RLock()  # reentrant: a build may read another table of its k
+
+
+def per_k(build: Callable) -> Callable:
+    """Cache build(k, *args), shared read-only, with k's other tables.  On a
+    first miss of k, drop whole k's, oldest first, while they outweigh
+    TABLE_BUDGET.  A hit takes no lock; a build that raises stores nothing."""
+
+    @wraps(build)
+    def table(k: int, *args):
+        key = (build, args) if args else build  # a builder alone hits by identity
+        try:
+            return _TABLES[k][key]
+        except KeyError:
+            pass
+        with _LOCK:
+            if k not in _TABLES:
+                while sum(node_count(old) ** 2 for old in _TABLES) > TABLE_BUDGET:
+                    del _TABLES[next(iter(_TABLES))]
+            if key not in _TABLES.get(k, ()):
+                value = build(k, *args)  # a build that raises stores nothing
+                _TABLES.setdefault(k, {})[key] = value
+            return _TABLES[k][key]
+
+    return table
 
 
 def is_canonical(z: GaussInt, k: int) -> bool:
@@ -217,7 +249,7 @@ def classify(v: GaussInt, k: int) -> Region:
     raise AssertionError(f"{v} not covered by any region (k={k})")
 
 
-@lru_cache(maxsize=64)
+@per_k
 def residue_regions(k: int) -> tuple[Region, ...]:
     """classify() of every node, once per k, indexed by residue."""
     return tuple(classify(v, k) for v in network(k).nodes)
@@ -360,7 +392,7 @@ class Network:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=32)
+@per_k
 def network(k: int) -> Network:
     """Shared immutable Network instance for k."""
     return Network(k)

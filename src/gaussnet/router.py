@@ -18,7 +18,6 @@ must equal the corresponding tree path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core import (
     format_node,
     is_canonical,
     network,
+    per_k,
     reduce,
     residue,
     residue_regions,
@@ -148,14 +148,14 @@ _GRID: dict[tuple[str, int], tuple[_Cell, _Cell, _Cell, _Cell]] = {
 }
 
 
-@lru_cache(maxsize=64)
+@per_k
 def _grid_rows(k: int) -> tuple[tuple[_Cell, ...] | None, ...]:
     """The grid row of every transient node, by residue; None for the origin, 0."""
     regions = residue_regions(k)[1:]
     return (None, *(_GRID[(_GROUP[reg.cls], reg.quadrant)] for reg in regions))
 
 
-@lru_cache(maxsize=64)
+@per_k
 def _frames(k: int) -> tuple[tuple[int, int, int, int, int] | None, ...]:
     """The quadrant-1 frame of every destination, by residue relative to the source.
 

@@ -23,7 +23,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -32,12 +32,12 @@ import numpy as np
 from . import _kernels
 from .core import (
     GaussInt,
-    Region,
     ZERO,
     format_node,
     is_canonical,
     network,
     node_count,
+    per_k,
     reduce,
     residue,
     residue_regions,
@@ -129,7 +129,7 @@ class SimRun:
         return MappingProxyType(resolved)
 
 
-@lru_cache(maxsize=32)
+@per_k
 def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """children[j][i]: the children of node i in tree j+1, by residue.
 
@@ -143,13 +143,7 @@ def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(map(tuple, tree)) for tree in out)
 
 
-@lru_cache(maxsize=None)
-def _rows_of(region: Region) -> Mapping[int, tuple[GaussInt, frozenset[GaussInt]]]:
-    """One region's rows for all four trees; runs share them, so read-only."""
-    return MappingProxyType({j: parent_child_spec(region, j) for j in (1, 2, 3, 4)})
-
-
-@lru_cache(maxsize=32)
+@per_k
 def _region_rows(
     k: int,
 ) -> tuple[Mapping[int, tuple[GaussInt, frozenset[GaussInt]]], ...]:
@@ -162,7 +156,10 @@ def _region_rows(
     empty = MappingProxyType({})
     if k == 1:
         return (empty,) * node_count(k)
-    return (empty, *map(_rows_of, residue_regions(k)[1:]))
+    regions = residue_regions(k)[1:]
+    rows = {reg: MappingProxyType({j: parent_child_spec(reg, j) for j in (1, 2, 3, 4)})
+            for reg in set(regions)}
+    return (empty, *map(rows.__getitem__, regions))
 
 
 def run(config: SimConfig) -> SimRun:
@@ -260,20 +257,21 @@ class SweepStats:
         return f"{float(self.avg_max):.3f}"
 
 
-@lru_cache(maxsize=32)
-def _exhaustive_rows(n: int, f: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
-    """(C(n-1, f), rows): rows(lo, hi) is rows lo..hi-1 of
-    itertools.combinations(range(1, n), f) as an int array.
+@per_k
+def _exhaustive_rows(k: int, f: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """(C(n-1, f), rows) for n = node_count(k): rows(lo, hi) is rows lo..hi-1
+    of itertools.combinations(range(1, n), f) as an int array.
 
     A row is a first fault a followed by a tail, an (f - 1)-subset of
     1..n-1 whose elements all exceed a.  The tails are every (f - 1)-subset
-    in lexicographic order, the whole of _exhaustive_rows(n, f - 1), whose
+    in lexicographic order, the whole of _exhaustive_rows(k, f - 1), whose
     last C(n-1-a, f-1) rows are the tails of a; rows are numbered first
     fault by first fault.
     """
     if f == 0:
         return 1, lambda lo, hi: np.empty((hi - lo, 0), dtype=np.intp)
-    n_tails, tail_rows = _exhaustive_rows(n, f - 1)
+    n = node_count(k)
+    n_tails, tail_rows = _exhaustive_rows(k, f - 1)
     tails = tail_rows(0, n_tails)
     ends = np.cumsum([math.comb(n - 1 - a, f - 1) for a in range(1, n)])
 
@@ -306,6 +304,23 @@ def _sample_fault_sets(
     return draws
 
 
+def check_sweep(k: int, faults: int, sample: int | None = None,
+                seed: int | None = None, workers: int = 1) -> None:
+    """Raise ValueError, naming the argument, unless sweep() accepts these."""
+    if not 0 <= faults <= MAX_FAULTS:
+        raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
+    if sample is None and seed is not None:
+        raise ValueError("seed applies only to a sampled sweep")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def sweep(
     k: int,
     faults: int,
@@ -324,23 +339,12 @@ def sweep(
     shares' histograms add, so results do not depend on the number of
     threads.
     """
-    if not 0 <= faults <= MAX_FAULTS:
-        raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be >= 1, got {sample}")
-    if sample is None and seed is not None:
-        raise ValueError("seed applies only to a sampled sweep")
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_sweep(k, faults, sample, seed, workers)
     workers = min(workers, os.cpu_count() or 1)
     B, LUT = reach_tables(k)
     n = len(B)
     if sample is None:
-        total, rows = _exhaustive_rows(n, faults)
+        total, rows = _exhaustive_rows(k, faults)
     else:  # fault sets are drawn from every node but the root, residue 0
         rng = np.random.default_rng(seed)
         fault_sets = _sample_fault_sets(n - 1, faults, sample, rng)

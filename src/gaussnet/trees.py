@@ -9,7 +9,6 @@ also has a closed form as a direction word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
     is_canonical,
     network,
     node_count,
+    per_k,
     reduce,
     residue,
     residue_regions,
@@ -99,7 +99,7 @@ def _check_tree_k(k: int) -> None:
 _RHO_DIR = np.array((2, 3, 1, 0), dtype=np.uint8)
 
 
-@lru_cache(maxsize=64)
+@per_k
 def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     """All four trees as index arrays over network(k).nodes, i.e. over Z/n.
 
@@ -125,11 +125,15 @@ def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, pdir
 
 
-@lru_cache(maxsize=256)
 def build_tree(j: int, k: int) -> SpanningTree:
     """Tree j = rho^(j-1) image of tree 1, read from row j-1 of tree_arrays."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"tree index must be 1..4, got {j}")
+    return _tree(k, j)
+
+
+@per_k
+def _tree(k: int, j: int) -> SpanningTree:
     parent, pdir = tree_arrays(k)
     nodes = network(k).nodes
     rows = zip(nodes[1:], parent[j - 1, 1:].tolist(), pdir[j - 1, 1:].tolist())
@@ -159,7 +163,7 @@ def parent_rows(k: int) -> np.ndarray:
     return tree_arrays(k)[0]
 
 
-@lru_cache(maxsize=32)
+@per_k
 def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fault-reach tables over the indices of network(k).nodes (residues).
 

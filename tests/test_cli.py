@@ -188,6 +188,7 @@ def test_sweep_sampled(tmp_path):
     ["gen", "--k", "3", "--out", "nodir/g.dot"],
     ["gen", "--k", "3", "--out", "."],
     ["tree", "--k", "3", "--j", "1", "--out", "nodir/t.json"],
+    ["sweep", "--k", "3", "--faults", "2..4"],
 ])
 def test_bad_input_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

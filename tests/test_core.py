@@ -4,14 +4,20 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 
+from gaussnet import core
 from gaussnet.core import (
     DIRECTIONS,
     GaussInt,
     Network,
+    ONE,
     RegionClass,
+    TABLE_BUDGET,
     ZERO,
     alpha,
     bfs_distance,
@@ -24,12 +30,16 @@ from gaussnet.core import (
     node_count,
     norm,
     parse_node,
+    per_k,
     reduce,
     residue,
     residue_regions,
     rho,
     translate,
 )
+from gaussnet.router import route
+from gaussnet.simulator import SimConfig, run, sweep
+from gaussnet.trees import build_tree, reach_tables
 
 import json
 
@@ -386,3 +396,79 @@ class TestNetworkExports:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             Network(0)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """An empty cache of per-k tables, in place of the process's one."""
+    fresh: dict[int, dict] = {}
+    monkeypatch.setattr(core, "_TABLES", fresh)
+    return fresh
+
+
+class TestPerKTables:
+    def test_paper_orders_stay_cached(self, tables):
+        # every table of k = 1..9 fits the budget, so the paper's table
+        # never rebuilds one
+        for k in range(1, 10):
+            sweep(k, 1)
+            run(SimConfig(k=k))
+            if k > 1:
+                build_tree(4, k)
+                route(ZERO, ONE, 2, k)
+        assert list(tables) == list(range(1, 10))
+        assert all(reach_tables.__wrapped__ in tables[k] for k in tables)
+
+    def test_bound_over_a_range_of_k(self, tables):
+        @per_k
+        def cheap(k):
+            return -k
+
+        for k in range(1, 61):
+            assert cheap(k) == -k
+            if k == 16:  # the k's up to 15 weigh 838,863, within the budget
+                assert list(tables) == list(range(1, 17))
+        assert 60 in tables
+        assert sum(node_count(k) ** 2 for k in tables if k != 60) <= TABLE_BUDGET
+
+    def test_failed_build_stores_nothing(self, tables):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            network(0)
+        assert 0 not in tables
+
+    def test_hit_takes_no_lock(self, tables, monkeypatch):
+        net = network(3)
+        monkeypatch.setattr(core, "_LOCK", None)  # a miss cannot enter it
+        assert network(3) is net
+        with pytest.raises((AttributeError, TypeError)):
+            network(4)
+
+    def test_threads_build_each_table_once(self, tables):
+        builds = []
+
+        @per_k
+        def counted(k):
+            builds.append(k)
+            time.sleep(0.001)  # lets the other threads run mid-build
+            return object()
+
+        start = threading.Barrier(4)
+        outs = [[] for _ in range(4)]
+
+        def worker(out):
+            start.wait(timeout=30)
+            out.extend(counted(k) for k in (1, 2, 3) * 100)
+
+        threads = [threading.Thread(target=worker, args=(out,)) for out in outs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(builds) == [1, 2, 3]
+        assert all(out == outs[0] for out in outs)

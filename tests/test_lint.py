@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for p in (ROOT / "src" / "gaussnet").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "gaussnet").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +36,47 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def cached_functions(source: str) -> list[str]:
+    """The functions that functools' lru_cache or cache decorates, then the
+    line of each other use of either."""
+    tree = ast.parse(source)
+    caches = {"lru_cache", "cache"}
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in caches}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    uses = {
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in caches
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    decorated = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if found := uses.intersection(ast.walk(dec)):
+                    decorated.append(node.name)
+                    uses -= found
+    return sorted(decorated) + [f"line {n}" for n in sorted(u.lineno for u in uses)]
+
+
+def test_detects_cached_functions():
+    source = (
+        "import functools\nfrom functools import lru_cache as lc, wraps\n"
+        "@lc(maxsize=8)\ndef a(): pass\n@functools.cache\ndef b(): pass\n"
+        "@wraps(a)\ndef c(): pass\nd = functools.lru_cache(None)(len)\n"
+    )
+    assert cached_functions(source) == ["a", "b", "line 9"]
+
+
+def test_per_k_tables_use_no_private_cache():
+    # every per-k table lives under core.per_k's one bound; the CLI parser is
+    # the one other cached value
+    found = [f"{p.stem}.{name}"
+             for p in SOURCES for name in cached_functions(p.read_text())]
+    assert found == ["cli.build_parser"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gaussnet import router
+from gaussnet import core, router
 from gaussnet.core import (
     GaussInt,
     ZERO,
@@ -192,10 +192,10 @@ class TestRouteErrors:
             row = list(router._GRID[("SB", 1)])
             row[3] = cell
             monkeypatch.setitem(router._GRID, ("SB", 1), tuple(row))
-            router._grid_rows.cache_clear()
+            core._TABLES.clear()
 
         yield forge_cell
-        router._grid_rows.cache_clear()
+        core._TABLES.clear()
 
     def test_unreachable_cell(self, forge):
         forge(None)

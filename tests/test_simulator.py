@@ -70,10 +70,10 @@ def dense_sweep_rounds(B, LUT, faults):
     return LUT[np.arange(len(B)), blocked].max(axis=1) + 1
 
 
-def exhaustive_blocks(n: int, f: int):
+def exhaustive_blocks(k: int, f: int):
     """An exhaustive cell's C(n-1, f) fault sets, BLOCK_CELLS // n rows at a time."""
-    total, rows = _exhaustive_rows(n, f)
-    size = BLOCK_CELLS // n
+    total, rows = _exhaustive_rows(k, f)
+    size = BLOCK_CELLS // node_count(k)
     for lo in range(0, total, size):
         yield rows(lo, min(lo + size, total))
 
@@ -430,15 +430,14 @@ class TestKernel:
     def test_flat_matches_dense_every_fault_set(self, k):
         B, LUT = reach_tables(k)
         for f in range(4):
-            for block in exhaustive_blocks(len(B), f):
+            for block in exhaustive_blocks(k, f):
                 want = dense_sweep_rounds(B, LUT, block)
                 assert np.array_equal(_kernels.sweep_rounds(B, LUT, block), want)
 
     @pytest.mark.parametrize("k", [*range(8, 17), 45])
     def test_flat_matches_dense_sampled_triples(self, k):
-        # k=45 is the first order whose flat index 16 v | mask needs uint32;
-        # its 17 MB table is built uncached
-        B, LUT = reach_tables(k) if k < 45 else reach_tables.__wrapped__(k)
+        # k=45 is the first order whose flat index 16 v | mask needs uint32
+        B, LUT = reach_tables(k)
         size = 512 if k < 45 else 32
         block = _sample_fault_sets(len(B) - 1, 3, size, np.random.default_rng(k)) + 1
         want = dense_sweep_rounds(B, LUT, block)
@@ -452,7 +451,7 @@ class TestKernel:
         for f in range(4):
             want = np.array(list(itertools.combinations(range(1, n), f)))
             want = want.reshape(math.comb(n - 1, f), f)
-            total, rows = _exhaustive_rows(n, f)
+            total, rows = _exhaustive_rows(k, f)
             assert total == len(want)
             for cuts in (
                 [0, total],
