@@ -18,14 +18,13 @@ exhaustive sweeps observe 2k.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -42,7 +41,8 @@ from .core import (
     residue,
     residue_regions,
 )
-from .trees import build_tree, parent_child_spec, parent_rows, reach_tables
+from .trees import (build_tree, fault_pairs, fault_singles, fault_triples,
+                    parent_child_spec, parent_rows, reach_tables)
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -257,33 +257,20 @@ class SweepStats:
         return f"{float(self.avg_max):.3f}"
 
 
-@per_k
-def _exhaustive_rows(k: int, f: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
-    """(C(n-1, f), rows) for n = node_count(k): rows(lo, hi) is rows lo..hi-1
-    of itertools.combinations(range(1, n), f) as an int array.
-
-    A row is a first fault a followed by a tail, an (f - 1)-subset of
-    1..n-1 whose elements all exceed a.  The tails are every (f - 1)-subset
-    in lexicographic order, the whole of _exhaustive_rows(k, f - 1), whose
-    last C(n-1-a, f-1) rows are the tails of a; rows are numbered first
-    fault by first fault.
-    """
-    if f == 0:
-        return 1, lambda lo, hi: np.empty((hi - lo, 0), dtype=np.intp)
-    n = node_count(k)
-    n_tails, tail_rows = _exhaustive_rows(k, f - 1)
-    tails = tail_rows(0, n_tails)
-    ends = np.cumsum([math.comb(n - 1 - a, f - 1) for a in range(1, n)])
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        r = np.arange(lo, hi)
-        a = np.searchsorted(ends, r, side="right")  # row r has first fault a + 1
-        block = np.empty((hi - lo, f), dtype=np.intp)
-        block[:, 0] = a + 1
-        block[:, 1:] = tails[r + len(tails) - ends[a]]
-        return block
-
-    return int(ends[-1]), rows
+def _exhaustive_counts(k: int, f: int) -> tuple[int, ...]:
+    """Step counts of all C(n-1, f) fault sets of non-root nodes from the
+    trees.fault_* tables: a run whose best value is w takes w + 1 steps."""
+    size = 2 * k + 1
+    if f == 0:  # the one fault-free run reads no table
+        counts = np.bincount([k], minlength=size)
+    elif f == 1:
+        counts = np.bincount(fault_singles(k)[1][1:, 0], minlength=size)
+    elif f == 2:
+        W = fault_pairs(k)[1][1:, 1:]
+        counts = np.bincount(W[np.triu_indices(len(W), 1)], minlength=size)
+    else:
+        counts = _kernels.triple_counts(fault_pairs(k)[1], size) + fault_triples(k)
+    return (0, *counts.tolist())
 
 
 def _sample_fault_sets(
@@ -328,45 +315,41 @@ def sweep(
     seed: int | None = None,
     workers: int = 1,
 ) -> SweepStats:
-    """Run every fault combination (or a sampled budget) and aggregate steps.
+    """Step-count histogram of every fault combination, or of a sampled budget.
 
-    Exhaustive mode enumerates all C(n-1, faults) subsets of non-root nodes.
-    Sampling draws `sample` independent uniform subsets.  The cell's fault
-    sets are cut into min(workers, os.cpu_count()) contiguous shares of
-    rows; a single share runs inline, more run one per thread of a pool.
-    A share runs its rows one block at a time, about BLOCK_CELLS (fault set,
-    node) pairs of kernel state, into one step-count histogram, and the
-    shares' histograms add, so results do not depend on the number of
-    threads.
+    Exhaustive mode counts all C(n-1, faults) subsets of non-root nodes by
+    the root-path decomposition, enumerating none; `workers` is unused.
+    Sampling draws `sample` independent uniform subsets for the flat kernel,
+    cut into min(workers, os.cpu_count()) contiguous shares; a single share
+    runs inline, more run one per thread of a pool.  A share runs its rows
+    one block at a time, about BLOCK_CELLS (fault set, node) pairs of kernel
+    state, into one step-count histogram, and the shares' histograms add,
+    so results do not depend on the number of threads.
     """
     check_sweep(k, faults, sample, seed, workers)
+    if sample is None:
+        return SweepStats(k, faults, _exhaustive_counts(k, faults))
     workers = min(workers, os.cpu_count() or 1)
     B, LUT = reach_tables(k)
-    n = len(B)
-    if sample is None:
-        total, rows = _exhaustive_rows(k, faults)
-    else:  # fault sets are drawn from every node but the root, residue 0
-        rng = np.random.default_rng(seed)
-        fault_sets = _sample_fault_sets(n - 1, faults, sample, rng)
-        total, rows = sample, lambda lo, hi: fault_sets[lo:hi] + 1
-    block_size = max(1, BLOCK_CELLS // n)
+    # fault sets are drawn from every node but the root, residue 0
+    fault_sets = _sample_fault_sets(len(B) - 1, faults, sample, np.random.default_rng(seed))
+    block_size = max(1, BLOCK_CELLS // len(B))
 
     def run_share(lo: int, hi: int) -> np.ndarray:
         """Step-count histogram of rows lo..hi-1, one block at a time."""
         counts = np.zeros(2 * k + 2, dtype=np.int64)
         for a in range(lo, hi, block_size):
-            rounds = _kernels.sweep_rounds(B, LUT, rows(a, min(a + block_size, hi)))
+            rounds = _kernels.sweep_rounds(B, LUT, fault_sets[a:min(a + block_size, hi)] + 1)
             counts += np.bincount(rounds, minlength=2 * k + 2)
         return counts
 
-    cuts = [total * i // workers for i in range(workers + 1)]
+    cuts = [sample * i // workers for i in range(workers + 1)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(run_share, cuts[:-1], cuts[1:]))
     else:
-        counts = run_share(0, total)
-
-    return SweepStats(k, faults, tuple(counts.tolist()), sampled=sample is not None)
+        counts = run_share(0, sample)
+    return SweepStats(k, faults, tuple(counts.tolist()), sampled=True)
 
 
 def fault_label(f: int) -> str:

@@ -8,6 +8,7 @@ also has a closed form as a direction word.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -90,6 +91,13 @@ class SpanningTree:
         return "\n".join(lines) + "\n"
 
 
+def _shared(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tables, made read-only: per_k shares them between callers."""
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _check_tree_k(k: int) -> None:
     if k < MIN_TREE_K:
         raise ValueError(f"trees require k >= {MIN_TREE_K}, got {k}")
@@ -120,9 +128,7 @@ def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     step = np.array([residue(d, k) for d in DIRECTIONS])
     parent = (np.arange(n) + step[pdir]) % n  # a hop adds its direction's residue
     parent[:, 0] = 0
-    for table in (parent, pdir):  # shared through the cache
-        table.setflags(write=False)
-    return parent, pdir
+    return _shared(parent, pdir)
 
 
 def build_tree(j: int, k: int) -> SpanningTree:
@@ -163,6 +169,29 @@ def parent_rows(k: int) -> np.ndarray:
     return tree_arrays(k)[0]
 
 
+def _ancestors(k: int, j: int):
+    """Every node's s-th ancestor in tree j+1 (trees of parent_rows, stars at
+    k = 1), for s = 0..2k: the nodes themselves, then one hop at a time."""
+    anc, parent = np.arange(node_count(k)), parent_rows(k)[j]
+    for _ in range(2 * k + 1):
+        yield anc
+        anc = parent[anc]
+    if anc.any():
+        raise AssertionError(f"tree {j + 1} (k={k}) has a parent cycle")
+
+
+@per_k
+def root_paths(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, depth): P[j, s, v] is v's s-th ancestor in tree j+1, the root 0
+    from s = depth[v, j] on; uint16 while n < 65,536."""
+    n = node_count(k)
+    P = np.empty((4, 2 * k + 1, n), dtype=np.promote_types(np.min_scalar_type(n - 1), np.uint16))
+    for j in range(4):
+        for s, anc in enumerate(_ancestors(k, j)):
+            P[j, s] = anc
+    return _shared(P, (P != 0).sum(axis=1, dtype=np.uint8).T)
+
+
 @per_k
 def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Fault-reach tables over the indices of network(k).nodes (residues).
@@ -174,30 +203,140 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     set F node v first receives in round LUT[v, OR_{u in F} B[u, v]], and a
     faulty v reads 0.  Trees are those of parent_rows, stars at k = 1.
     """
-    n, parents = node_count(k), parent_rows(k)
+    n = node_count(k)
     cols = np.arange(n)
     B = np.zeros((n, n), dtype=np.uint8)
     flat = B.reshape(-1)  # a view: a 1-D index is cheaper than B[anc, cols]
     depth = np.zeros((n, 4), dtype=np.uint8)
     for j in range(4):
-        anc = cols
-        for _ in range(2 * k + 1):  # climb every node's root path one hop at a time
+        for anc in _ancestors(k, j):
             flat[anc * n + cols] |= 1 << j
-            moving = anc != 0
-            if not moving.any():
-                break
-            depth[:, j] += moving
-            anc = parents[j][anc]
-        else:
-            raise AssertionError(f"tree {j + 1} (k={k}) has a parent cycle")
+            depth[:, j] += anc != 0
     unreached = np.iinfo(np.uint8).max
     blocked = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
     lut = np.where(blocked, unreached, depth[:, None, :]).min(axis=2)
     lut[lut == unreached] = 0
-    lut = lut.astype(np.uint8)
-    for table in (B, lut):  # shared through the cache
-        table.setflags(write=False)
-    return B, lut
+    return _shared(B, lut.astype(np.uint8))
+
+
+# -- exhaustive sweep tables: the root-path decomposition ----------------------
+#
+# A node's four root paths share only their endpoints, so each of f <= 3
+# faults lies inside at most one of them: a live node v always receives, in
+# round LUT[v, M] for M the trees whose path to v holds a fault, and some
+# live node lies at distance k.  A run therefore takes 1 + max(k, value),
+# where value is the best LUT[v, M] over the v with a fault inside a path.
+# Every value below is clipped to at least k; v = 0, the root, means none.
+
+def _others_min(depth: np.ndarray, *trees: int) -> np.ndarray:
+    """LUT[v, mask of trees] for every v: the smallest depth among the other trees."""
+    return np.delete(depth, trees, axis=1).min(axis=1)
+
+
+def _path_choices(k: int, trees: tuple[int, ...]) -> list[np.ndarray]:
+    """Rows [*nodes, v, w] for the v whose value w = LUT[v, trees] is above k
+    and, for two trees, above both one-tree values (else the singles hold
+    it): one row per choice of a node inside each given tree's root path of
+    v, nodes[q] inside trees[q]'s, as intp."""
+    P, depth = root_paths(k)
+    w = _others_min(depth, *trees)
+    keep = w > k
+    if len(trees) == 2:
+        keep &= (w > _others_min(depth, trees[0])) & (w > _others_min(depth, trees[1]))
+    heads = np.flatnonzero(keep)
+    sizes = depth[heads][:, trees].astype(np.intp) - 1
+    total = sizes.prod(axis=1)
+    i = np.repeat(np.arange(len(heads)), total)
+    r = np.arange(total.sum()) - np.repeat(np.cumsum(total) - total, total)
+    nodes = []
+    for q in reversed(range(len(trees))):  # r in mixed radix, last tree fastest
+        nodes.insert(0, P[trees[q], 1 + r % sizes[i, q], heads[i]].astype(np.intp))
+        r //= sizes[i, q]
+    return [*nodes, heads[i], w[heads[i]]]
+
+
+def _ranked(key: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """(key, v, w, rank) sorted by key, best w first: rank counts from 0 per key."""
+    order = np.argsort(key * 256 - w, kind="stable")  # w < 256
+    key, v, w = key[order], v[order], w[order]
+    return key, v, w, np.arange(len(key)) - np.searchsorted(key, key)
+
+
+@per_k
+def fault_singles(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Sv, Sw), each [n, 3]: for a fault u, the three best distinct v with u
+    inside a root path of v, best first, valued LUT[v, that tree].  f = 1
+    reads Sw[u, 0]; three make the best two that are not a second fault."""
+    P, depth = root_paths(k)
+    found = zip(*(_path_choices(k, (j,)) for j in range(4)))
+    u, v, w, rank = _ranked(*map(np.concatenate, found))
+    Sv = np.zeros((len(depth), 3), dtype=P.dtype)
+    Sw = np.full((len(depth), 3), k, dtype=np.uint8)
+    top = rank < 3
+    Sv[u[top], rank[top]], Sw[u[top], rank[top]] = v[top], w[top]
+    return _shared(Sv, Sw)
+
+
+def _fold(V, W, W2, v, w):
+    """Candidates (v, w) folded into the best distinct node V, its value W,
+    and W2, the best value of any other node."""
+    return (np.where(w > W, v, V), np.maximum(W, w),
+            np.where(V == v, W2, np.maximum(W2, np.minimum(w, W))))
+
+
+@per_k
+def fault_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, W, W2), each [n, n] and symmetric: for faults x != y, the best v
+    not in {x, y} and its value LUT[v, trees holding x or y], and the best
+    value of the other v.  f = 2 reads W; f = 3 reads W2 where V is the
+    third fault.  The root's row and the diagonal are not meaningful."""
+    depth = root_paths(k)[1]
+    Sv, Sw = fault_singles(k)
+    n, cells = len(depth), np.arange(len(depth))
+    V, W = np.zeros((n, n), dtype=Sv.dtype), np.full((n, n), k, dtype=np.uint8)
+    W2 = W
+    for q in range(3):  # x's singles along rows and y's along columns, never v = y or x
+        for v, w, other in ((Sv[:, q, None], Sw[:, q, None], cells),
+                            (Sv[None, :, q], Sw[None, :, q], cells[:, None])):
+            V, W, W2 = _fold(V, W, W2, v, np.where(v == other, k, w))
+    found = zip(*(_path_choices(k, t) for t in itertools.combinations(range(4), 2)))
+    x, y, v, w = map(np.concatenate, found)
+    key, v, w, rank = _ranked(np.concatenate([x * n + y, y * n + x]), np.tile(v, 2), np.tile(w, 2))
+    V, W, W2 = V.reshape(-1), W.reshape(-1), W2.reshape(-1)
+    for q in (0, 1):  # the two best pair candidates of each cell
+        at = key[rank == q]
+        V[at], W[at], W2[at] = _fold(V[at], W[at], W2[at], v[rank == q], w[rank == q])
+    return _shared(V.reshape(n, n), W.reshape(n, n), W2.reshape(n, n))
+
+
+@per_k
+def fault_triples(k: int) -> np.ndarray:
+    """Correction, by value, to the counts of max(W[a,b], W[a,c], W[b,c])
+    over a < b < c.  A triple's value is that max except where some pair's
+    best V is the third fault and W2 < W: there it reads W2 for that pair.
+    No triple term is needed: v's value with a fault in three of its paths
+    exceeds its pair values only if its fourth tree is its one deepest."""
+    depth = root_paths(k)[1]
+    deepest = depth.max(axis=1)
+    if np.any(((depth == deepest[:, None]).sum(axis=1) == 1) & (deepest > k)):
+        raise AssertionError(f"k={k}: a node has one deepest tree, so triples need a term")
+    V, W, W2 = fault_pairs(k)
+    n = len(W)
+    x, y = np.nonzero(np.triu(W > W2, 1) & (np.arange(n)[:, None] > 0))  # 0 < x < y
+    z = V[x, y]
+    a, c = np.minimum(x, z), np.maximum(y, z)  # x < y
+    key = (a * n + x + y + z - a - c) * n + c
+    key = key[np.argsort(key, kind="stable")]
+    key = key[np.diff(key, prepend=-1) != 0]  # each triple once
+    a, b, c = key // (n * n), key // n % n, key % n
+
+    def without(x, y, z):  # G(x, y) without z
+        return np.where(V[x, y] == z, W2[x, y], W[x, y])
+
+    base = np.maximum(np.maximum(W[a, b], W[a, c]), W[b, c])
+    exact = np.maximum(np.maximum(without(a, b, c), without(a, c, b)), without(b, c, a))
+    size = 2 * k + 1
+    return _shared(np.bincount(exact, minlength=size) - np.bincount(base, minlength=size))[0]
 
 
 # -- closed-form root paths for tree 1 ---------------------------------------

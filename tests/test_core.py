@@ -39,7 +39,7 @@ from gaussnet.core import (
 )
 from gaussnet.router import route
 from gaussnet.simulator import SimConfig, run, sweep
-from gaussnet.trees import build_tree, reach_tables
+from gaussnet.trees import build_tree, fault_singles
 
 import json
 
@@ -417,7 +417,7 @@ class TestPerKTables:
                 build_tree(4, k)
                 route(ZERO, ONE, 2, k)
         assert list(tables) == list(range(1, 10))
-        assert all(reach_tables.__wrapped__ in tables[k] for k in tables)
+        assert all(fault_singles.__wrapped__ in tables[k] for k in tables)
 
     def test_bound_over_a_range_of_k(self, tables):
         @per_k

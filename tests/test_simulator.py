@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaussnet import _kernels, simulator
+from gaussnet import _kernels, core, simulator, trees
 from gaussnet.core import (
     GaussInt,
     ZERO,
@@ -35,7 +35,6 @@ from gaussnet.simulator import (
     sweep_metadata,
     sweep_table_csv,
     region_resolution_check,
-    _exhaustive_rows,
     _sample_fault_sets,
 )
 from gaussnet.trees import build_tree, parent_child_spec, reach_tables, tree_path
@@ -70,9 +69,38 @@ def dense_sweep_rounds(B, LUT, faults):
     return LUT[np.arange(len(B)), blocked].max(axis=1) + 1
 
 
+def exhaustive_rows(k: int, f: int):
+    """The enumeration oracle: (C(n-1, f), rows) for n = node_count(k), where
+    rows(lo, hi) is rows lo..hi-1 of itertools.combinations(range(1, n), f)
+    as an int array.
+
+    A row is a first fault a followed by a tail, an (f - 1)-subset of
+    1..n-1 whose elements all exceed a.  The tails are every (f - 1)-subset
+    in lexicographic order, the whole of exhaustive_rows(k, f - 1), whose
+    last C(n-1-a, f-1) rows are the tails of a; rows are numbered first
+    fault by first fault.
+    """
+    if f == 0:
+        return 1, lambda lo, hi: np.empty((hi - lo, 0), dtype=np.intp)
+    n = node_count(k)
+    n_tails, tail_rows = exhaustive_rows(k, f - 1)
+    tails = tail_rows(0, n_tails)
+    ends = np.cumsum([math.comb(n - 1 - a, f - 1) for a in range(1, n)])
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        r = np.arange(lo, hi)
+        a = np.searchsorted(ends, r, side="right")  # row r has first fault a + 1
+        block = np.empty((hi - lo, f), dtype=np.intp)
+        block[:, 0] = a + 1
+        block[:, 1:] = tails[r + len(tails) - ends[a]]
+        return block
+
+    return int(ends[-1]), rows
+
+
 def exhaustive_blocks(k: int, f: int):
     """An exhaustive cell's C(n-1, f) fault sets, BLOCK_CELLS // n rows at a time."""
-    total, rows = _exhaustive_rows(k, f)
+    total, rows = exhaustive_rows(k, f)
     size = BLOCK_CELLS // node_count(k)
     for lo in range(0, total, size):
         yield rows(lo, min(lo + size, total))
@@ -301,10 +329,10 @@ class TestSweep:
 
     def test_workers_merge(self, monkeypatch):
         # k=6, f=3: three threads whatever the host's CPU count, each taking a
-        # share of 31,761 exhaustive or 1,666 sampled rows, more than one
-        # block of BLOCK_CELLS // 85 = 771 rows
+        # share of 10,587 or 1,666 sampled rows, more than one block of
+        # BLOCK_CELLS // 85 = 771 rows; exhaustive cells use no pool
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-        for sampling in ({}, {"sample": 5000, "seed": 11}):
+        for sampling in ({"sample": 31761, "seed": 3}, {"sample": 5000, "seed": 11}):
             seq = sweep(6, 3, workers=1, **sampling)
             par = sweep(6, 3, workers=3, **sampling)
             assert seq.runs // 3 > BLOCK_CELLS // node_count(6)
@@ -319,11 +347,12 @@ class TestSweep:
             return real_pool(max_workers=2)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", recording_pool)
-        want = sweep(5, 2)
+        sampling = {"sample": 3000, "seed": 5}
+        want = sweep(5, 2, **sampling)
         for cpus, pools in ((3, [3]), (None, [])):  # None: count unknown, no pool
             sizes.clear()
             monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
-            got = sweep(5, 2, workers=10**6)
+            got = sweep(5, 2, workers=10**6, **sampling)
             assert sizes == pools
             assert got.step_counts == want.step_counts
 
@@ -451,7 +480,7 @@ class TestKernel:
         for f in range(4):
             want = np.array(list(itertools.combinations(range(1, n), f)))
             want = want.reshape(math.comb(n - 1, f), f)
-            total, rows = _exhaustive_rows(k, f)
+            total, rows = exhaustive_rows(k, f)
             assert total == len(want)
             for cuts in (
                 [0, total],
@@ -470,7 +499,7 @@ class TestKernel:
         assert c[k + 1] == node_count(k) - 1 - 4 * (k - 1)
         assert not c[:k + 1].any() and c[2 * k + 1] == 0
 
-    @pytest.mark.parametrize("k", range(2, 17))
+    @pytest.mark.parametrize("k", range(2, 21))
     def test_f2_step_histogram(self, k):
         # c_k(e) for runs of k+1+e steps, m = k - e: a closed form in k and m
         c = np.array(sweep(k, 2).step_counts)
@@ -481,6 +510,60 @@ class TestKernel:
             assert 3 * (c[k + 1 + e] - g) == 2 * m**3 - 6 * m**2 - 44 * m + 60, e
         assert not c[:k + 1].any() and c[2 * k + 1] == 0
         assert c[k + 1] == math.comb(node_count(k) - 1, 2) - c[k + 2:].sum()
+
+
+class TestDecomposition:
+    """Exhaustive cells by the root-path decomposition, against the flat kernel."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_flat_kernel_every_fault_set(self, k):
+        B, LUT = reach_tables(k)
+        for f in range(4):
+            counts = np.zeros(2 * k + 2, dtype=np.int64)
+            for block in exhaustive_blocks(k, f):
+                rounds = _kernels.sweep_rounds(B, LUT, block)
+                counts += np.bincount(rounds, minlength=2 * k + 2)
+            assert sweep(k, f).step_counts == tuple(counts.tolist()), f
+
+    def test_k16_f3_step_histogram(self):
+        # ROADMAP item 8's k=16 list, runs of k+1..2k steps, checked in full
+        # against the flat kernel
+        top = [15527348, 1236696, 1108352, 994060, 894224, 808928, 737956, 680812,
+               636740, 604744, 583608, 571916, 568072, 570320, 576760, 583208]
+        assert sweep(16, 3).step_counts == (0,) * 17 + tuple(top) + (0,)
+
+    def test_each_fault_count_builds_only_its_tables(self, monkeypatch):
+        # f=0 reads no table, f=1 no pair table, and no exhaustive cell reaches
+        # the flat kernel, B or the thread pool
+        built = {}
+        monkeypatch.setattr(core, "_TABLES", built)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
+        for name in ("reach_tables", "ThreadPoolExecutor"):
+            monkeypatch.setattr(simulator, name, None)
+        monkeypatch.setattr(_kernels, "sweep_rounds", None)
+
+        def names():
+            return {getattr(key, "__name__", None) or key[0].__name__
+                    for key in built.get(5, ())}
+
+        runs = []
+        for f, new in ((0, set()), (1, {"fault_singles"}), (2, {"fault_pairs"}),
+                       (3, {"fault_triples"})):
+            before = names()
+            runs.append(sweep(5, f, workers=4).runs)
+            assert names() - before - {"network", "residue_regions", "tree_arrays",
+                                       "root_paths"} == new, f
+        assert runs == [math.comb(60, f) for f in range(4)]
+
+    def test_one_deepest_tree_is_refused(self, monkeypatch):
+        # the f=3 count has no triple term: it needs every node's deepest tree
+        # to be shared, or not deeper than k
+        P, depth = trees.root_paths(4)
+        forged = depth.copy()
+        forged[7] = (1, 5, 5, 6)
+        monkeypatch.setattr(trees, "root_paths", lambda _k: (P, forged))
+        with pytest.raises(AssertionError, match="one deepest tree"):
+            trees.fault_triples.__wrapped__(4)
 
 
 class TestOutputs:
