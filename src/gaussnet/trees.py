@@ -37,6 +37,7 @@ from .core import (
 import json
 
 MIN_TREE_K = 2
+BLOCK_NODES = 4096  # verify_independence's nodes per sort
 
 
 @dataclass(frozen=True)
@@ -169,54 +170,50 @@ def parent_rows(k: int) -> np.ndarray:
     return tree_arrays(k)[0]
 
 
-def _ancestors(k: int, j: int):
-    """Every node's s-th ancestor in tree j+1 (trees of parent_rows, stars at
-    k = 1), for s = 0..2k: the nodes themselves, then one hop at a time."""
-    anc, parent = np.arange(node_count(k)), parent_rows(k)[j]
-    for _ in range(2 * k + 1):
-        yield anc
-        anc = parent[anc]
-    if anc.any():
-        raise AssertionError(f"tree {j + 1} (k={k}) has a parent cycle")
-
-
 @per_k
-def root_paths(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, depth): P[j, s, v] is v's s-th ancestor in tree j+1, the root 0
-    from s = depth[v, j] on; uint16 while n < 65,536."""
-    n = node_count(k)
-    P = np.empty((4, 2 * k + 1, n), dtype=np.promote_types(np.min_scalar_type(n - 1), np.uint16))
-    for j in range(4):
-        for s, anc in enumerate(_ancestors(k, j)):
-            P[j, s] = anc
-    return _shared(P, (P != 0).sum(axis=1, dtype=np.uint8).T)
+def root_paths(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, depth, LUT), the one walk up the trees of parent_rows (stars at
+    k = 1), over the indices of network(k).nodes (residues).
 
-
-@per_k
-def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fault-reach tables over the indices of network(k).nodes (residues).
-
-    B[u, v] (uint8) is a 4-bit mask, bit j-1 for tree j, of the trees whose
-    root path to v contains u; both endpoints count, so B[v, v] == 15.
-    LUT[v, mask] (uint8) is the smallest depth of v among the trees not in
-    mask, or 0 when all four are blocked; the root's row is 0.  Under fault
-    set F node v first receives in round LUT[v, OR_{u in F} B[u, v]], and a
-    faulty v reads 0.  Trees are those of parent_rows, stars at k = 1.
+    P[j, s, v] is v's s-th ancestor in tree j+1, the root 0 from s =
+    depth[v, j] on; uint16 while n < 65,536.  LUT[v, mask] (uint8) is the
+    smallest depth of v among the trees not in mask, or 0 when all four are
+    blocked; the root's row is 0.  Raises if a tree has a parent cycle.
     """
-    n = node_count(k)
-    cols = np.arange(n)
-    B = np.zeros((n, n), dtype=np.uint8)
-    flat = B.reshape(-1)  # a view: a 1-D index is cheaper than B[anc, cols]
-    depth = np.zeros((n, 4), dtype=np.uint8)
-    for j in range(4):
-        for anc in _ancestors(k, j):
-            flat[anc * n + cols] |= 1 << j
-            depth[:, j] += anc != 0
+    n, parent = node_count(k), parent_rows(k)
+    P = np.empty((4, 2 * k + 1, n), dtype=np.promote_types(np.min_scalar_type(n - 1), np.uint16))
+    P[:, 0] = np.arange(n)
+    for s in range(2 * k):
+        P[:, s + 1] = np.take_along_axis(parent, P[:, s], axis=1)
+    cycles = np.take_along_axis(parent, P[:, -1], axis=1).any(axis=1)
+    if cycles.any():
+        raise AssertionError(f"tree {cycles.argmax() + 1} (k={k}) has a parent cycle")
+    # C order, or LUT below comes out F-ordered and the flat kernel's ravel copies it
+    depth = np.ascontiguousarray((P != 0).sum(axis=1, dtype=np.uint8).T)
     unreached = np.iinfo(np.uint8).max
     blocked = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
     lut = np.where(blocked, unreached, depth[:, None, :]).min(axis=2)
     lut[lut == unreached] = 0
-    return _shared(B, lut.astype(np.uint8))
+    return _shared(P, depth, lut)
+
+
+@per_k
+def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, LUT) over the residues: B[u, v] (uint8) is a 4-bit mask, bit j-1
+    for tree j, of the trees whose root path to v contains u; both endpoints
+    count, so B[v, v] == 15.  B is read from root_paths' P, one ancestor row
+    at a time, and LUT is root_paths' own.  Under fault set F node v first
+    receives in round LUT[v, OR_{u in F} B[u, v]], and a faulty v reads 0.
+    """
+    P, _, LUT = root_paths(k)
+    n = P.shape[2]
+    cols = np.arange(n)
+    B = np.zeros((n, n), dtype=np.uint8)
+    flat = B.reshape(-1)  # a view: a 1-D index is cheaper than B[anc, cols]
+    for j in range(4):
+        for anc in P[j]:
+            flat[anc.astype(np.intp) * n + cols] |= 1 << j
+    return (*_shared(B), LUT)
 
 
 # -- exhaustive sweep tables: the root-path decomposition ----------------------
@@ -228,21 +225,16 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
 # where value is the best LUT[v, M] over the v with a fault inside a path.
 # Every value below is clipped to at least k; v = 0, the root, means none.
 
-def _others_min(depth: np.ndarray, *trees: int) -> np.ndarray:
-    """LUT[v, mask of trees] for every v: the smallest depth among the other trees."""
-    return np.delete(depth, trees, axis=1).min(axis=1)
-
-
 def _path_choices(k: int, trees: tuple[int, ...]) -> list[np.ndarray]:
     """Rows [*nodes, v, w] for the v whose value w = LUT[v, trees] is above k
     and, for two trees, above both one-tree values (else the singles hold
     it): one row per choice of a node inside each given tree's root path of
     v, nodes[q] inside trees[q]'s, as intp."""
-    P, depth = root_paths(k)
-    w = _others_min(depth, *trees)
+    P, depth, LUT = root_paths(k)
+    w = LUT[:, sum(1 << j for j in trees)]
     keep = w > k
     if len(trees) == 2:
-        keep &= (w > _others_min(depth, trees[0])) & (w > _others_min(depth, trees[1]))
+        keep &= (w > LUT[:, 1 << trees[0]]) & (w > LUT[:, 1 << trees[1]])
     heads = np.flatnonzero(keep)
     sizes = depth[heads][:, trees].astype(np.intp) - 1
     total = sizes.prod(axis=1)
@@ -267,7 +259,7 @@ def fault_singles(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(Sv, Sw), each [n, 3]: for a fault u, the three best distinct v with u
     inside a root path of v, best first, valued LUT[v, that tree].  f = 1
     reads Sw[u, 0]; three make the best two that are not a second fault."""
-    P, depth = root_paths(k)
+    P, depth, _ = root_paths(k)
     found = zip(*(_path_choices(k, (j,)) for j in range(4)))
     u, v, w, rank = _ranked(*map(np.concatenate, found))
     Sv = np.zeros((len(depth), 3), dtype=P.dtype)
@@ -459,19 +451,22 @@ def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt
 def verify_independence(k: int) -> tuple[bool, tuple | None]:
     """Check all root paths pairwise share only their endpoints.
 
-    Reads the fault-reach table: an interior node u of v's root paths with
-    two or more bits in B[u, v] lies on two of them.  Returns (True, None),
-    or (False, (v, j, j', u)) for the first such v in node order.
+    Reads root_paths' P, BLOCK_NODES nodes at a time, so memory stays
+    O(n k): a nonzero entry repeated among v's ancestors P[:, s >= 1, v] is
+    an interior node u on two of its paths.  Returns (True, None), or
+    (False, (v, j, j', u)) for the first such v in node order, its smallest
+    u, and the first two trees whose path to v holds u.
     """
     _check_tree_k(k)
-    B, _ = reach_tables(k)
-    nodes = network(k).nodes
-    shared = (B & (B - 1)) != 0  # two or more bits set
-    shared[0, :] = False  # the root
-    np.fill_diagonal(shared, False)
-    hits = np.argwhere(shared.T)
-    if not len(hits):
-        return True, None
-    v, u = hits[0]
-    j, j2 = [t + 1 for t in range(4) if B[u, v] >> t & 1][:2]
-    return False, (nodes[v], j, j2, nodes[u])
+    P = root_paths(k)[0]
+    for lo in range(0, P.shape[2], BLOCK_NODES):
+        rows = np.sort(P[:, 1:, lo:lo + BLOCK_NODES].reshape(8 * k, -1).T)
+        repeated = (rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != 0)
+        hit = repeated.any(axis=1)
+        if hit.any():
+            at = hit.argmax()
+            v, u = lo + at, rows[at, 1:][repeated[at]].min()
+            j, j2 = [t + 1 for t in range(4) if u in P[t, 1:, v]][:2]
+            nodes = network(k).nodes
+            return False, (nodes[v], j, j2, nodes[u])
+    return True, None

@@ -120,6 +120,17 @@ def test_verify_passes(capsys):
     assert "k=3 height: PASS (height 6)" in out
 
 
+def test_verify_builds_no_reach_table(monkeypatch, capsys):
+    # verify reads the root paths alone: the n x n table B is never built
+    def refuse(k):
+        raise AssertionError(f"reach_tables({k}) built")
+
+    for module in ("trees", "router", "simulator"):
+        monkeypatch.setattr(f"gaussnet.{module}.reach_tables", refuse)
+    assert main(["verify", "--k", "2..6"]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_simulate_fault_free(capsys):
     assert main(["simulate", "--k", "3"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -511,6 +511,11 @@ class TestKernel:
         assert not c[:k + 1].any() and c[2 * k + 1] == 0
         assert c[k + 1] == math.comb(node_count(k) - 1, 2) - c[k + 2:].sum()
 
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_f3_top_bin(self, k):
+        # ROADMAP item 8's quartic: the f=3 runs of 2k steps
+        assert sweep(k, 3).step_counts[2 * k] == 8 * k**4 + 16 * k**3 - 24 * k**2 - 32 * k + 40
+
 
 class TestDecomposition:
     """Exhaustive cells by the root-path decomposition, against the flat kernel."""
@@ -558,10 +563,10 @@ class TestDecomposition:
     def test_one_deepest_tree_is_refused(self, monkeypatch):
         # the f=3 count has no triple term: it needs every node's deepest tree
         # to be shared, or not deeper than k
-        P, depth = trees.root_paths(4)
+        P, depth, LUT = trees.root_paths(4)
         forged = depth.copy()
         forged[7] = (1, 5, 5, 6)
-        monkeypatch.setattr(trees, "root_paths", lambda _k: (P, forged))
+        monkeypatch.setattr(trees, "root_paths", lambda _k: (P, forged, LUT))
         with pytest.raises(AssertionError, match="one deepest tree"):
             trees.fault_triples.__wrapped__(4)
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gaussnet.core import (
@@ -20,10 +21,14 @@ from gaussnet.trees import (
     _check_tree_k,
     build_tree,
     expand_word,
+    fault_pairs,
+    fault_singles,
+    fault_triples,
     parent_child_spec,
     path_word,
     reach_tables,
     region_parent_map,
+    root_paths,
     tree_arrays,
     tree_path,
     verify_independence,
@@ -32,6 +37,23 @@ from gaussnet.trees import (
 
 def n(text: str) -> GaussInt:
     return parse_node(text)
+
+
+def independence_by_reach(k: int) -> tuple[bool, tuple | None]:
+    """The plain oracle of verify_independence: an interior node u of v's
+    root paths with two or more bits in B[u, v] lies on two of them.  Builds
+    the n x n table B (not cached), so it is for small k only."""
+    B, _ = reach_tables.__wrapped__(k)
+    nodes = network(k).nodes
+    shared = (B & (B - 1)) != 0  # two or more bits set
+    shared[0, :] = False  # the root
+    np.fill_diagonal(shared, False)
+    hits = np.argwhere(shared.T)
+    if not len(hits):
+        return True, None
+    v, u = hits[0]
+    j, j2 = [t + 1 for t in range(4) if B[u, v] >> t & 1][:2]
+    return False, (nodes[v], j, j2, nodes[u])
 
 
 def tree1_edge_set(k: int) -> set[frozenset[GaussInt]]:
@@ -223,14 +245,46 @@ class TestIndependence:
 
     def test_reports_shared_interior_node(self, monkeypatch):
         k = 3
-        B, LUT = reach_tables(k)
+        P, depth, LUT = root_paths(k)
         net = network(k)
         v = n("-2+i")
         u = tree_path(build_tree(1, k), v)[1]
-        forged = B.copy()
-        forged[net.index(u), net.index(v)] |= 0b0100  # u also on tree 3's path
-        monkeypatch.setattr("gaussnet.trees.reach_tables", lambda _k: (forged, LUT))
+        forged = P.copy()
+        assert forged[2, 1, net.index(v)] != 0  # an interior node of tree 3's path
+        forged[2, 1, net.index(v)] = net.index(u)  # u also on tree 3's path
+        monkeypatch.setattr("gaussnet.trees.root_paths", lambda _k: (forged, depth, LUT))
         assert verify_independence(k) == (False, (v, 1, 3, u))
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_reach_oracle(self, k):
+        assert verify_independence(k) == independence_by_reach(k) == (True, None)
+
+    @pytest.mark.parametrize("k", (3, 6, 8))
+    @pytest.mark.parametrize("copies", ({2: 1}, {3: 1}, {4: 2}, {3: 2}, {3: 2, 4: 2}))
+    def test_matches_reach_oracle_on_forged_trees(self, monkeypatch, k, copies):
+        # tree j's parents replaced by tree copies[j]'s: their paths coincide
+        parent, pdir = tree_arrays(k)
+        forged = parent.copy()
+        for j, like in copies.items():
+            forged[j - 1] = parent[like - 1]
+        monkeypatch.setattr("gaussnet.trees.tree_arrays", lambda _k: (forged, pdir))
+        monkeypatch.setattr("gaussnet.trees.root_paths", root_paths.__wrapped__)
+        ok, witness = verify_independence(k)
+        assert not ok and (ok, witness) == independence_by_reach(k)
+
+    def test_blocks_cover_every_node(self, monkeypatch):
+        # blocks of 4 of the 25 nodes, the last one short: a witness at the
+        # end of a full block, and in the short one
+        k = 3
+        P, depth, LUT = root_paths(k)
+        monkeypatch.setattr("gaussnet.trees.BLOCK_NODES", 4)
+        assert verify_independence(k) == (True, None)
+        net = network(k)
+        for v in (23, 24):
+            forged = P.copy()
+            forged[3, 1, v] = P[0, 1, v]
+            monkeypatch.setattr("gaussnet.trees.root_paths", lambda _k: (forged, depth, LUT))
+            assert verify_independence(k) == (False, (net.nodes[v], 1, 4, net.nodes[P[0, 1, v]]))
 
     def test_first_steps_distinct(self):
         for k in (2, 4):
@@ -265,8 +319,17 @@ class TestReachTables:
         cyclic = parent.copy()
         cyclic[0, a], cyclic[0, b] = b, a
         monkeypatch.setattr("gaussnet.trees.tree_arrays", lambda _k: (cyclic, pdir))
-        with pytest.raises(AssertionError):
-            reach_tables.__wrapped__(k)
+        with pytest.raises(AssertionError, match="tree 1 .* parent cycle"):
+            root_paths.__wrapped__(k)
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_tables_c_contiguous_and_read_only(self, k):
+        # the flat kernel ravels LUT and B, which copies any other layout
+        tables = (*root_paths(k), *reach_tables(k), *fault_singles(k), *fault_pairs(k),
+                  fault_triples(k))
+        for i, table in enumerate(tables):
+            assert table.flags.c_contiguous and not table.flags.writeable, i
+        assert reach_tables(k)[1] is root_paths(k)[2]
 
     def test_k1_direct_edges(self):
         net = network(1)
