@@ -118,25 +118,24 @@ _LOCK = threading.RLock()  # reentrant: a build may read another table of its k
 
 
 def per_k(build: Callable) -> Callable:
-    """Cache build(k, *args), shared read-only, with k's other tables.  On a
-    first miss of k, drop whole k's, oldest first, while they outweigh
-    TABLE_BUDGET.  A hit takes no lock; a build that raises stores nothing."""
+    """Cache build(k), keyed by the builder, shared read-only with k's other
+    tables.  On a first miss of k, drop whole k's, oldest first, while they
+    outweigh TABLE_BUDGET.  A hit takes no lock; a build that raises stores nothing."""
 
     @wraps(build)
-    def table(k: int, *args):
-        key = (build, args) if args else build  # a builder alone hits by identity
+    def table(k: int):
         try:
-            return _TABLES[k][key]
+            return _TABLES[k][build]
         except KeyError:
             pass
         with _LOCK:
             if k not in _TABLES:
                 while sum(node_count(old) ** 2 for old in _TABLES) > TABLE_BUDGET:
                     del _TABLES[next(iter(_TABLES))]
-            if key not in _TABLES.get(k, ()):
-                value = build(k, *args)  # a build that raises stores nothing
-                _TABLES.setdefault(k, {})[key] = value
-            return _TABLES[k][key]
+            if build not in _TABLES.get(k, ()):
+                value = build(k)  # a build that raises stores nothing
+                _TABLES.setdefault(k, {})[build] = value
+            return _TABLES[k][build]
 
     return table
 

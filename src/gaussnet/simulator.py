@@ -37,12 +37,11 @@ from .core import (
     network,
     node_count,
     per_k,
-    reduce,
     residue,
     residue_regions,
 )
-from .trees import (build_tree, fault_pairs, fault_singles, fault_triples,
-                    parent_child_spec, parent_rows, reach_tables)
+from .trees import (fault_pairs, fault_singles, fault_triples, parent_child_spec,
+                    parent_rows, reach_tables, tree_arrays)
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -219,11 +218,11 @@ def reachability_report(sim: SimRun) -> dict[GaussInt, bool]:
 def region_resolution_check(k: int) -> bool:
     """Fault-free run resolves exactly the constructive parent maps."""
     sim = run(SimConfig(k=k))
+    want = tree_arrays(k)[0]
     for j in (1, 2, 3, 4):
-        want = build_tree(j, k).parent
         for v, state in sim.trees_resolved.items():
             parent_dir, _ = state.rows[j]
-            if reduce(v + parent_dir, k) != want[v][0]:
+            if residue(v + parent_dir, k) != want[j - 1, residue(v, k)]:
                 return False
     return True
 

@@ -37,7 +37,7 @@ from .core import (
 import json
 
 MIN_TREE_K = 2
-BLOCK_NODES = 4096  # verify_independence's nodes per sort
+BLOCK_NODES = 2048  # verify_independence's nodes per sort; its temporaries set verify's peak
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,6 @@ class SpanningTree:
 
     def edges(self) -> frozenset[frozenset[GaussInt]]:
         return frozenset(frozenset((c, p)) for c, (p, _) in self.parent.items())
-
-    def children(self) -> dict[GaussInt, list[GaussInt]]:
-        """Child lists, each sorted lexicographically."""
-        out: dict[GaussInt, list[GaussInt]] = {v: [] for v in self.parent}
-        out[self.root] = []
-        for c, (p, _) in self.parent.items():
-            out[p].append(c)
-        for lst in out.values():
-            lst.sort(key=lambda v: (v.x, v.y))
-        return out
 
     def depth(self, v: GaussInt) -> int:
         return len(tree_path(self, v)) - 1
@@ -133,14 +123,10 @@ def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_tree(j: int, k: int) -> SpanningTree:
-    """Tree j = rho^(j-1) image of tree 1, read from row j-1 of tree_arrays."""
+    """Tree j = rho^(j-1) image of tree 1, read from row j-1 of tree_arrays;
+    built on each call, as tree_arrays is the stored form."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"tree index must be 1..4, got {j}")
-    return _tree(k, j)
-
-
-@per_k
-def _tree(k: int, j: int) -> SpanningTree:
     parent, pdir = tree_arrays(k)
     nodes = network(k).nodes
     rows = zip(nodes[1:], parent[j - 1, 1:].tolist(), pdir[j - 1, 1:].tolist())
@@ -150,17 +136,13 @@ def _tree(k: int, j: int) -> SpanningTree:
 
 
 def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
-    """The unique root..v path, root first; at most 2k edges."""
-    if not is_canonical(v, tree.k):
-        raise ValueError(f"{v} is not canonical for k={tree.k}")
-    path = [v]
-    guard = 2 * tree.k + 1
-    while path[-1] != tree.root:
-        path.append(tree.parent[path[-1]][0])
-        if len(path) > guard:
-            raise AssertionError(f"parent chain from {v} exceeds height bound")
-    path.reverse()
-    return path
+    """The unique root..v path, root first, read from root_paths' P."""
+    k, j = tree.k, tree.index - 1
+    if not is_canonical(v, k):
+        raise ValueError(f"{v} is not canonical for k={k}")
+    P, depth, _ = root_paths(k)
+    i, nodes = residue(v, k), network(k).nodes
+    return [nodes[u] for u in P[j, depth[i, j]::-1, i].tolist()]
 
 
 def parent_rows(k: int) -> np.ndarray:
@@ -291,13 +273,14 @@ def fault_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for v, w, other in ((Sv[:, q, None], Sw[:, q, None], cells),
                             (Sv[None, :, q], Sw[None, :, q], cells[:, None])):
             V, W, W2 = _fold(V, W, W2, v, np.where(v == other, k, w))
-    found = zip(*(_path_choices(k, t) for t in itertools.combinations(range(4), 2)))
-    x, y, v, w = map(np.concatenate, found)
-    key, v, w, rank = _ranked(np.concatenate([x * n + y, y * n + x]), np.tile(v, 2), np.tile(w, 2))
     V, W, W2 = V.reshape(-1), W.reshape(-1), W2.reshape(-1)
-    for q in (0, 1):  # the two best pair candidates of each cell
-        at = key[rank == q]
-        V[at], W[at], W2[at] = _fold(V[at], W[at], W2[at], v[rank == q], w[rank == q])
+    for trees in itertools.combinations(range(4), 2):  # one tree pair at a time
+        x, y, v, w = _path_choices(k, trees)
+        key = np.concatenate([x * n + y, y * n + x])
+        key, v, w, rank = _ranked(key, np.tile(v, 2), np.tile(w, 2))
+        for q in (0, 1):  # the pair's two best candidates of each cell
+            at = key[rank == q]
+            V[at], W[at], W2[at] = _fold(V[at], W[at], W2[at], v[rank == q], w[rank == q])
     return _shared(V.reshape(n, n), W.reshape(n, n), W2.reshape(n, n))
 
 

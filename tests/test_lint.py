@@ -80,3 +80,26 @@ def test_per_k_tables_use_no_private_cache():
     found = [f"{p.stem}.{name}"
              for p in SOURCES for name in cached_functions(p.read_text())]
     assert found == ["cli.build_parser"]
+
+
+def per_k_signatures(source: str) -> dict[str, str]:
+    """The parameter list of each function that per_k decorates, by name."""
+    return {
+        node.name: ast.unparse(node.args)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(ast.unparse(d).split(".")[-1] == "per_k" for d in node.decorator_list)
+    }
+
+
+def test_detects_per_k_signatures():
+    source = ("@per_k\ndef a(k): pass\n@core.per_k\ndef b(k, j): pass\n"
+              "@per_k\ndef c(k: int, *rest): pass\ndef d(k, j): pass\n")
+    assert per_k_signatures(source) == {"a": "k", "b": "k, j", "c": "k: int, *rest"}
+
+
+def test_per_k_tables_take_k_alone():
+    # per_k keys a table by its builder alone, so a builder takes k and nothing else
+    found = {f"{p.stem}.{name}": params
+             for p in SOURCES for name, params in per_k_signatures(p.read_text()).items()}
+    assert found and all(params in ("k", "k: int") for params in found.values()), found

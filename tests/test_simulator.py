@@ -548,8 +548,7 @@ class TestDecomposition:
         monkeypatch.setattr(_kernels, "sweep_rounds", None)
 
         def names():
-            return {getattr(key, "__name__", None) or key[0].__name__
-                    for key in built.get(5, ())}
+            return {build.__name__ for build in built.get(5, ())}
 
         runs = []
         for f, new in ((0, set()), (1, {"fault_singles"}), (2, {"fault_pairs"}),

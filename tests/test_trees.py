@@ -1,10 +1,12 @@
 """Spanning tree construction, path words, region table, independence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaussnet import core
 from gaussnet.core import (
     GaussInt,
     IMAG,
@@ -18,6 +20,7 @@ from gaussnet.core import (
     rho,
 )
 from gaussnet.trees import (
+    SpanningTree,
     _check_tree_k,
     build_tree,
     expand_word,
@@ -54,6 +57,16 @@ def independence_by_reach(k: int) -> tuple[bool, tuple | None]:
     v, u = hits[0]
     j, j2 = [t + 1 for t in range(4) if B[u, v] >> t & 1][:2]
     return False, (nodes[v], j, j2, nodes[u])
+
+
+def path_by_parents(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
+    """The plain oracle of tree_path: walk tree.parent from v up to the
+    root, at most 2k edges, and return the path root first."""
+    path = [v]
+    while path[-1] != tree.root:
+        path.append(tree.parent[path[-1]][0])
+        assert len(path) <= 2 * tree.k + 1, f"parent chain from {v} exceeds height bound"
+    return path[::-1]
 
 
 def tree1_edge_set(k: int) -> set[frozenset[GaussInt]]:
@@ -209,6 +222,35 @@ class TestHeight:
         assert tree_path(build_tree(1, 3), ZERO) == [ZERO]
 
 
+class TestTreePath:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_parent_walk(self, k):
+        for j in (1, 2, 3, 4):
+            t = build_tree(j, k)
+            for v in network(k).nodes:
+                assert tree_path(t, v) == path_by_parents(t, v), (j, v)
+
+    def test_follows_root_paths(self, monkeypatch):
+        # tree 2's path to v rewritten in P: tree_path reads P, not tree.parent
+        k = 3
+        P, depth, LUT = root_paths(k)
+        net = network(k)
+        v = n("-2+i")
+        i = net.index(v)
+        d = depth[i, 1]
+        assert d >= 2
+        forged = P.copy()
+        forged[1, 1:d, i] = P[0, 1:d, i]
+        monkeypatch.setattr("gaussnet.trees.root_paths", lambda _k: (forged, depth, LUT))
+        t2 = build_tree(2, k)
+        assert tree_path(t2, v) == [net.nodes[u] for u in forged[1, d::-1, i]]
+        assert tree_path(t2, v) != path_by_parents(t2, v)
+
+    def test_rejects_non_canonical(self):
+        with pytest.raises(ValueError, match="not canonical"):
+            tree_path(build_tree(1, 3), GaussInt(3, 1))
+
+
 class TestRegionTable:
     def test_leaf_row(self):
         parent_dir, child_dirs = parent_child_spec(classify(n("-i"), 4), 1)
@@ -224,8 +266,8 @@ class TestRegionTable:
         t = build_tree(1, 4)
         assert t.parent[n("-i")] == (n("-2i"), GaussInt(0, -1))
         assert t.parent[n("-1+i")] == (n("-1+2i"), GaussInt(0, 1))
-        kids = t.children()[n("-1+i")]
-        assert set(kids) == {n("i"), n("-1")}
+        kids = {c for c, (p, _) in t.parent.items() if p == n("-1+i")}
+        assert kids == {n("i"), n("-1")}
 
     @pytest.mark.parametrize("k", range(2, 10))
     @pytest.mark.parametrize("j", (1, 2, 3, 4))
@@ -330,6 +372,19 @@ class TestReachTables:
         for i, table in enumerate(tables):
             assert table.flags.c_contiguous and not table.flags.writeable, i
         assert reach_tables(k)[1] is root_paths(k)[2]
+
+    def test_fault_pairs_build_peak(self, monkeypatch):
+        # one tree pair's candidates at a time: the build's peak stays within
+        # a small multiple of the three n x n tables it keeps
+        monkeypatch.setattr(core, "_TABLES", {})
+        root_paths(16), fault_singles(16)
+        tracemalloc.start()
+        try:
+            held = sum(t.nbytes for t in fault_pairs(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * held, (peak, held)
 
     def test_k1_direct_edges(self):
         net = network(1)
