@@ -1,7 +1,7 @@
-"""Hot sweep kernels.
+"""Sweep kernels.
 
-sweep_rounds, for sampled cells and the tests: one flat table lookup per
-(fault set, node).  Inputs, from trees.reach_tables(k):
+sweep_rounds, the tests' oracle, which no sweep calls: one flat table lookup
+per (fault set, node).  Inputs, from trees.reach_tables(k):
 
   B       uint8[n, n]   B[u, v]: trees whose root path to v contains u
   LUT     uint8[n, 16]  LUT[v, mask]: best depth of v avoiding trees in mask

@@ -110,8 +110,8 @@ def node_count(k: int) -> int:
     return 2 * k * k + 2 * k + 1
 
 
-#: The weight kept for the k's other than the newest: a k weighs n^2, the
-#: bytes of its largest table, B, so every k <= 15 is kept at once.
+#: The weight kept for the k's other than the newest: a k weighs n^2, a lower
+#: bound (fault_pairs, read by f >= 2 sweeps, holds 4 n^2); every k <= 15 is kept.
 TABLE_BUDGET = 1 << 20
 _TABLES: dict[int, dict] = {}  # k -> {key: table}, first-seen k first
 _LOCK = threading.RLock()  # reentrant: a build may read another table of its k

@@ -18,8 +18,6 @@ exhaustive sweeps observe 2k.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,7 +39,7 @@ from .core import (
     residue_regions,
 )
 from .trees import (fault_pairs, fault_singles, fault_triples, parent_child_spec,
-                    parent_rows, reach_tables, tree_arrays)
+                    parent_rows, tree_arrays, triple_values)
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -53,11 +51,7 @@ STEP_CONVENTION = (
 
 MAX_FAULTS = 3
 
-# (fault set, node) pairs per kernel block: 362 rows at k=9, 120 at k=16.
-# The flat gather's time per run is about flat from 120 to 512 rows and
-# grows beyond; `take` copies each block's index as intp, so larger blocks
-# only hold more memory.
-BLOCK_CELLS = 1 << 16
+SAMPLE_BLOCK = 1 << 12  # fault sets a sampled cell draws and counts at once: memory flat in N
 
 
 class SimulationError(RuntimeError):
@@ -276,8 +270,6 @@ def _sample_fault_sets(
     n_others: int, f: int, budget: int, rng: np.random.Generator
 ) -> np.ndarray:
     """budget rows of f distinct values in 0..n_others-1."""
-    if f == 0:
-        return np.zeros((budget, 0), dtype=np.int64)
     draws = rng.integers(0, n_others, size=(budget, f), dtype=np.int64)
     while f > 1:
         dup = np.zeros(budget, dtype=bool)
@@ -290,6 +282,25 @@ def _sample_fault_sets(
     return draws
 
 
+def _sampled_counts(k: int, f: int, sample: int, seed: int | None) -> tuple[int, ...]:
+    """Step counts of `sample` draws of f distinct non-root nodes, SAMPLE_BLOCK
+    at a time, read from the trees.fault_* tables: value w takes w + 1 steps."""
+    rng, counts = np.random.default_rng(seed), np.zeros(2 * k + 1, dtype=np.int64)
+    for lo in range(0, sample, SAMPLE_BLOCK):
+        # residue 0 is the root, so draws index the other nodes from 1
+        faults = _sample_fault_sets(node_count(k) - 1, f, min(SAMPLE_BLOCK, sample - lo), rng) + 1
+        if f == 0:
+            values = np.full(len(faults), k)
+        elif f == 1:
+            values = fault_singles(k)[1][faults[:, 0], 0]
+        elif f == 2:
+            values = fault_pairs(k)[1][faults[:, 0], faults[:, 1]]
+        else:
+            values = triple_values(k, *faults.T)
+        counts += np.bincount(values, minlength=len(counts))
+    return (0, *counts.tolist())
+
+
 def check_sweep(k: int, faults: int, sample: int | None = None,
                 seed: int | None = None, workers: int = 1) -> None:
     """Raise ValueError, naming the argument, unless sweep() accepts these."""
@@ -297,8 +308,8 @@ def check_sweep(k: int, faults: int, sample: int | None = None,
         raise ValueError(f"fault count must be 0..{MAX_FAULTS}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if sample is not None and sample < 1:
-        raise ValueError(f"sample must be >= 1, got {sample}")
+    if sample is not None and not 1 <= sample <= 1 << 32:
+        raise ValueError(f"sample must be 1..2^32, got {sample}")
     if sample is None and seed is not None:
         raise ValueError("seed applies only to a sampled sweep")
     if seed is not None and seed < 0:
@@ -317,38 +328,16 @@ def sweep(
     """Step-count histogram of every fault combination, or of a sampled budget.
 
     Exhaustive mode counts all C(n-1, faults) subsets of non-root nodes by
-    the root-path decomposition, enumerating none; `workers` is unused.
-    Sampling draws `sample` independent uniform subsets for the flat kernel,
-    cut into min(workers, os.cpu_count()) contiguous shares; a single share
-    runs inline, more run one per thread of a pool.  A share runs its rows
-    one block at a time, about BLOCK_CELLS (fault set, node) pairs of kernel
-    state, into one step-count histogram, and the shares' histograms add,
-    so results do not depend on the number of threads.
+    the root-path decomposition, enumerating none.  Sampling draws `sample`
+    independent uniform subsets, SAMPLE_BLOCK at a time, and reads each one's
+    step count from the same tables: one lookup per fault set, and for three
+    faults the max of three pair lookups.  `workers` is validated and
+    unused: no sweep starts a thread.
     """
     check_sweep(k, faults, sample, seed, workers)
     if sample is None:
         return SweepStats(k, faults, _exhaustive_counts(k, faults))
-    workers = min(workers, os.cpu_count() or 1)
-    B, LUT = reach_tables(k)
-    # fault sets are drawn from every node but the root, residue 0
-    fault_sets = _sample_fault_sets(len(B) - 1, faults, sample, np.random.default_rng(seed))
-    block_size = max(1, BLOCK_CELLS // len(B))
-
-    def run_share(lo: int, hi: int) -> np.ndarray:
-        """Step-count histogram of rows lo..hi-1, one block at a time."""
-        counts = np.zeros(2 * k + 2, dtype=np.int64)
-        for a in range(lo, hi, block_size):
-            rounds = _kernels.sweep_rounds(B, LUT, fault_sets[a:min(a + block_size, hi)] + 1)
-            counts += np.bincount(rounds, minlength=2 * k + 2)
-        return counts
-
-    cuts = [sample * i // workers for i in range(workers + 1)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run_share, cuts[:-1], cuts[1:]))
-    else:
-        counts = run_share(0, sample)
-    return SweepStats(k, faults, tuple(counts.tolist()), sampled=True)
+    return SweepStats(k, faults, _sampled_counts(k, faults, sample, seed), sampled=True)
 
 
 def fault_label(f: int) -> str:

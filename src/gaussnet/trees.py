@@ -37,7 +37,7 @@ from .core import (
 import json
 
 MIN_TREE_K = 2
-BLOCK_NODES = 2048  # verify_independence's nodes per sort; its temporaries set verify's peak
+BLOCK_NODES = 2048  # nodes per verify_independence sort, pair candidates per fault_pairs fold
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,11 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
 # where value is the best LUT[v, M] over the v with a fault inside a path.
 # Every value below is clipped to at least k; v = 0, the root, means none.
 
-def _path_choices(k: int, trees: tuple[int, ...]) -> list[np.ndarray]:
+def _path_choices(k: int, trees: tuple[int, ...], rows: int):
     """Rows [*nodes, v, w] for the v whose value w = LUT[v, trees] is above k
     and, for two trees, above both one-tree values (else the singles hold
     it): one row per choice of a node inside each given tree's root path of
-    v, nodes[q] inside trees[q]'s, as intp."""
+    v, nodes[q] inside trees[q]'s, as intp; about `rows` at a time, by v."""
     P, depth, LUT = root_paths(k)
     w = LUT[:, sum(1 << j for j in trees)]
     keep = w > k
@@ -220,13 +220,16 @@ def _path_choices(k: int, trees: tuple[int, ...]) -> list[np.ndarray]:
     heads = np.flatnonzero(keep)
     sizes = depth[heads][:, trees].astype(np.intp) - 1
     total = sizes.prod(axis=1)
-    i = np.repeat(np.arange(len(heads)), total)
-    r = np.arange(total.sum()) - np.repeat(np.cumsum(total) - total, total)
-    nodes = []
-    for q in reversed(range(len(trees))):  # r in mixed radix, last tree fastest
-        nodes.insert(0, P[trees[q], 1 + r % sizes[i, q], heads[i]].astype(np.intp))
-        r //= sizes[i, q]
-    return [*nodes, heads[i], w[heads[i]]]
+    cuts = np.searchsorted(np.cumsum(total), np.arange(rows, total.sum(), rows))
+    for lo, hi in itertools.pairwise([0, *np.unique([*cuts, len(heads)])]):
+        at, s, t = heads[lo:hi], sizes[lo:hi], total[lo:hi]
+        i = np.repeat(np.arange(hi - lo), t)
+        r = np.arange(t.sum()) - np.repeat(np.cumsum(t) - t, t)
+        nodes = []
+        for q in reversed(range(len(trees))):  # r in mixed radix, last tree fastest
+            nodes.insert(0, P[trees[q], 1 + r % s[i, q], at[i]].astype(np.intp))
+            r //= s[i, q]
+        yield [*nodes, at[i], w[at[i]]]
 
 
 def _ranked(key: np.ndarray, v: np.ndarray, w: np.ndarray):
@@ -242,7 +245,7 @@ def fault_singles(k: int) -> tuple[np.ndarray, np.ndarray]:
     inside a root path of v, best first, valued LUT[v, that tree].  f = 1
     reads Sw[u, 0]; three make the best two that are not a second fault."""
     P, depth, _ = root_paths(k)
-    found = zip(*(_path_choices(k, (j,)) for j in range(4)))
+    found = zip(*(c for j in range(4) for c in _path_choices(k, (j,), BLOCK_NODES)))
     u, v, w, rank = _ranked(*map(np.concatenate, found))
     Sv = np.zeros((len(depth), 3), dtype=P.dtype)
     Sw = np.full((len(depth), 3), k, dtype=np.uint8)
@@ -262,39 +265,51 @@ def _fold(V, W, W2, v, w):
 def fault_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(V, W, W2), each [n, n] and symmetric: for faults x != y, the best v
     not in {x, y} and its value LUT[v, trees holding x or y], and the best
-    value of the other v.  f = 2 reads W; f = 3 reads W2 where V is the
-    third fault.  The root's row and the diagonal are not meaningful."""
+    value of the other v; the root's row and the diagonal are not meaningful.
+    f = 2 reads W, f = 3 triple_values, with no triple term: a fault in three
+    of v's paths beats its pair values only if its fourth tree is its one
+    deepest, which is refused.  Built in blocks: the peak stays near 4 n^2."""
     depth = root_paths(k)[1]
+    deepest = depth.max(axis=1)
+    if np.any(((depth == deepest[:, None]).sum(axis=1) == 1) & (deepest > k)):
+        raise AssertionError(f"k={k}: a node has one deepest tree, so triples need a term")
     Sv, Sw = fault_singles(k)
     n, cells = len(depth), np.arange(len(depth))
-    V, W = np.zeros((n, n), dtype=Sv.dtype), np.full((n, n), k, dtype=np.uint8)
-    W2 = W
-    for q in range(3):  # x's singles along rows and y's along columns, never v = y or x
-        for v, w, other in ((Sv[:, q, None], Sw[:, q, None], cells),
-                            (Sv[None, :, q], Sw[None, :, q], cells[:, None])):
-            V, W, W2 = _fold(V, W, W2, v, np.where(v == other, k, w))
+    V, W, W2 = (np.empty((n, n), dtype=t) for t in (Sv.dtype, np.uint8, np.uint8))
+    rows = max(1, 32 * BLOCK_NODES // n)  # about 2^16 cells a block of rows x
+    for x in map(slice, range(0, n, rows), range(rows, n + rows, rows)):
+        block = 0, k, k  # x's singles along rows and y's along columns, never v = y or x
+        for q in range(3):
+            for v, w, other in ((Sv[x, q, None], Sw[x, q, None], cells),
+                                (Sv[None, :, q], Sw[None, :, q], cells[x, None])):
+                block = _fold(*block, v, np.where(v == other, k, w))
+        V[x], W[x], W2[x] = block
     V, W, W2 = V.reshape(-1), W.reshape(-1), W2.reshape(-1)
-    for trees in itertools.combinations(range(4), 2):  # one tree pair at a time
-        x, y, v, w = _path_choices(k, trees)
-        key = np.concatenate([x * n + y, y * n + x])
-        key, v, w, rank = _ranked(key, np.tile(v, 2), np.tile(w, 2))
-        for q in (0, 1):  # the pair's two best candidates of each cell
-            at = key[rank == q]
-            V[at], W[at], W2[at] = _fold(V[at], W[at], W2[at], v[rank == q], w[rank == q])
+    for trees in itertools.combinations(range(4), 2):
+        for x, y, v, w in _path_choices(k, trees, BLOCK_NODES):
+            key = np.concatenate([x * n + y, y * n + x])
+            key, v, w, rank = _ranked(key, np.tile(v, 2), np.tile(w, 2))
+            for q in (0, 1):  # the chunk's two best candidates of each cell
+                at = key[rank == q]
+                V[at], W[at], W2[at] = _fold(V[at], W[at], W2[at], v[rank == q], w[rank == q])
     return _shared(V.reshape(n, n), W.reshape(n, n), W2.reshape(n, n))
+
+
+def triple_values(k: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The value of each triple {a, b, c} of distinct non-root faults: the
+    max over its pairs of W, or of W2 where the pair's best V is the third."""
+    V, W, W2 = fault_pairs(k)
+
+    def without(x, y, z):  # G(x, y) without z
+        return np.where(V[x, y] == z, W2[x, y], W[x, y])
+    return np.maximum(np.maximum(without(a, b, c), without(a, c, b)), without(b, c, a))
 
 
 @per_k
 def fault_triples(k: int) -> np.ndarray:
     """Correction, by value, to the counts of max(W[a,b], W[a,c], W[b,c])
     over a < b < c.  A triple's value is that max except where some pair's
-    best V is the third fault and W2 < W: there it reads W2 for that pair.
-    No triple term is needed: v's value with a fault in three of its paths
-    exceeds its pair values only if its fourth tree is its one deepest."""
-    depth = root_paths(k)[1]
-    deepest = depth.max(axis=1)
-    if np.any(((depth == deepest[:, None]).sum(axis=1) == 1) & (deepest > k)):
-        raise AssertionError(f"k={k}: a node has one deepest tree, so triples need a term")
+    best V is the third fault and W2 < W: there it reads W2 for that pair."""
     V, W, W2 = fault_pairs(k)
     n = len(W)
     x, y = np.nonzero(np.triu(W > W2, 1) & (np.arange(n)[:, None] > 0))  # 0 < x < y
@@ -304,14 +319,9 @@ def fault_triples(k: int) -> np.ndarray:
     key = key[np.argsort(key, kind="stable")]
     key = key[np.diff(key, prepend=-1) != 0]  # each triple once
     a, b, c = key // (n * n), key // n % n, key % n
-
-    def without(x, y, z):  # G(x, y) without z
-        return np.where(V[x, y] == z, W2[x, y], W[x, y])
-
-    base = np.maximum(np.maximum(W[a, b], W[a, c]), W[b, c])
-    exact = np.maximum(np.maximum(without(a, b, c), without(a, c, b)), without(b, c, a))
     size = 2 * k + 1
-    return _shared(np.bincount(exact, minlength=size) - np.bincount(base, minlength=size))[0]
+    base = np.bincount(np.maximum(np.maximum(W[a, b], W[a, c]), W[b, c]), minlength=size)
+    return _shared(np.bincount(triple_values(k, a, b, c), minlength=size) - base)[0]
 
 
 # -- closed-form root paths for tree 1 ---------------------------------------

@@ -125,7 +125,7 @@ def test_verify_builds_no_reach_table(monkeypatch, capsys):
     def refuse(k):
         raise AssertionError(f"reach_tables({k}) built")
 
-    for module in ("trees", "router", "simulator"):
+    for module in ("trees", "router"):
         monkeypatch.setattr(f"gaussnet.{module}.reach_tables", refuse)
     assert main(["verify", "--k", "2..6"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out

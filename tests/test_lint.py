@@ -103,3 +103,32 @@ def test_per_k_tables_take_k_alone():
     found = {f"{p.stem}.{name}": params
              for p in SOURCES for name, params in per_k_signatures(p.read_text()).items()}
     assert found and all(params in ("k", "k: int") for params in found.values()), found
+
+
+def named(source: str) -> set[str]:
+    """Every name a module reads or imports, and every module it imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {node.module or "", *(a.name for a in node.names)}
+    return found
+
+
+def test_detects_names():
+    source = "import concurrent.futures\nfrom ._kernels import sweep_rounds as s\nx = y.z\n"
+    assert named(source) >= {"concurrent.futures", "sweep_rounds", "x", "y", "z"}
+
+
+def test_sweeps_use_no_flat_kernel_or_thread_pool():
+    # sampled and exhaustive cells read the decomposition tables in the
+    # calling thread; the flat kernel stays in _kernels as the tests' oracle
+    found = [f"{p.name}: {name}" for p in SOURCES for name in named(p.read_text())
+             if name == "concurrent.futures"
+             or name == "sweep_rounds" and p.name != "_kernels.py"]
+    assert found == []

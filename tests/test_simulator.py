@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from gaussnet.core import (
     reduce,
 )
 from gaussnet.simulator import (
-    BLOCK_CELLS,
+    SAMPLE_BLOCK,
     NodeState,
     SimConfig,
     SimulationError,
@@ -99,9 +101,10 @@ def exhaustive_rows(k: int, f: int):
 
 
 def exhaustive_blocks(k: int, f: int):
-    """An exhaustive cell's C(n-1, f) fault sets, BLOCK_CELLS // n rows at a time."""
+    """An exhaustive cell's C(n-1, f) fault sets, about 2^16 (fault set,
+    node) pairs of the flat kernel at a time."""
     total, rows = exhaustive_rows(k, f)
-    size = BLOCK_CELLS // node_count(k)
+    size = (1 << 16) // node_count(k)
     for lo in range(0, total, size):
         yield rows(lo, min(lo + size, total))
 
@@ -269,11 +272,13 @@ class TestLazyResolution:
             made.append(args or kwargs)
             return real(*args, **kwargs)
 
-        def no_table(k):
+        def no_table(*args):
             raise AssertionError("run() read a sweep table")
 
         monkeypatch.setattr(simulator, "NodeState", counting)
-        monkeypatch.setattr(simulator, "reach_tables", no_table)
+        for name in ("fault_singles", "fault_pairs", "fault_triples", "triple_values"):
+            monkeypatch.setattr(simulator, name, no_table)
+        monkeypatch.setattr(trees, "reach_tables", no_table)
         sim = run(SimConfig(k=6, root=n("2+i"), faults=frozenset({n("1"), n("-3i")})))
         assert made == []
         assert len(sim.trees_resolved) == len(made) == len(sim.first_receipt) - 1
@@ -327,34 +332,16 @@ class TestSweep:
         st = sweep(4, 0)
         assert st.runs == 1 and st.avg_max == 5 and st.max_max == 5
 
-    def test_workers_merge(self, monkeypatch):
-        # k=6, f=3: three threads whatever the host's CPU count, each taking a
-        # share of 10,587 or 1,666 sampled rows, more than one block of
-        # BLOCK_CELLS // 85 = 771 rows; exhaustive cells use no pool
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-        for sampling in ({"sample": 31761, "seed": 3}, {"sample": 5000, "seed": 11}):
-            seq = sweep(6, 3, workers=1, **sampling)
-            par = sweep(6, 3, workers=3, **sampling)
-            assert seq.runs // 3 > BLOCK_CELLS // node_count(6)
-            assert (seq.step_counts, seq.sampled) == (par.step_counts, par.sampled)
+    def test_workers_change_nothing_and_start_no_thread(self, monkeypatch):
+        # workers is validated and unused: a sweep runs in the calling thread
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a sweep started a thread")
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
-        real_pool = simulator.ThreadPoolExecutor
-
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=2)
-
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", recording_pool)
-        sampling = {"sample": 3000, "seed": 5}
-        want = sweep(5, 2, **sampling)
-        for cpus, pools in ((3, [3]), (None, [])):  # None: count unknown, no pool
-            sizes.clear()
-            monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
-            got = sweep(5, 2, workers=10**6, **sampling)
-            assert sizes == pools
-            assert got.step_counts == want.step_counts
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        for sampling in ({}, {"sample": 3000, "seed": 5}):
+            want = sweep(6, 3, **sampling)
+            for workers in (2, 10**6):
+                assert sweep(6, 3, workers=workers, **sampling) == want
 
     @pytest.mark.parametrize(
         "k, f, runs, avg, mx",
@@ -442,8 +429,8 @@ class TestSweep:
             sweep(3, 4)
         with pytest.raises(ValueError):
             sweep(0, 1)
-        for sample in (0, -1):
-            with pytest.raises(ValueError):
+        for sample in (0, -1, 2**32 + 1):
+            with pytest.raises(ValueError, match="sample must be 1..2"):
                 sweep(3, 2, sample=sample)
         for workers in (0, -3):
             with pytest.raises(ValueError):
@@ -538,36 +525,82 @@ class TestDecomposition:
         assert sweep(16, 3).step_counts == (0,) * 17 + tuple(top) + (0,)
 
     def test_each_fault_count_builds_only_its_tables(self, monkeypatch):
-        # f=0 reads no table, f=1 no pair table, and no exhaustive cell reaches
-        # the flat kernel, B or the thread pool
-        built = {}
-        monkeypatch.setattr(core, "_TABLES", built)
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 4)
-        for name in ("reach_tables", "ThreadPoolExecutor"):
-            monkeypatch.setattr(simulator, name, None)
+        # f=0 reads no table, f=1 no pair table, a sampled f=3 cell no
+        # triple correction, and no cell reaches the flat kernel or B
+        def refuse(k):
+            raise AssertionError(f"reach_tables({k}) built")
+
+        monkeypatch.setattr(trees, "reach_tables", refuse)
         monkeypatch.setattr(_kernels, "sweep_rounds", None)
+        for sampling, triples in (({}, {"fault_triples"}), ({"sample": 300, "seed": 2}, set())):
+            built = {}
+            monkeypatch.setattr(core, "_TABLES", built)
 
-        def names():
-            return {build.__name__ for build in built.get(5, ())}
+            def names():
+                return {build.__name__ for build in built.get(5, ())}
 
-        runs = []
-        for f, new in ((0, set()), (1, {"fault_singles"}), (2, {"fault_pairs"}),
-                       (3, {"fault_triples"})):
-            before = names()
-            runs.append(sweep(5, f, workers=4).runs)
-            assert names() - before - {"network", "residue_regions", "tree_arrays",
-                                       "root_paths"} == new, f
-        assert runs == [math.comb(60, f) for f in range(4)]
+            runs = []
+            for f, new in ((0, set()), (1, {"fault_singles"}), (2, {"fault_pairs"}),
+                           (3, triples)):
+                before = names()
+                runs.append(sweep(5, f, workers=4, **sampling).runs)
+                assert names() - before - {"network", "residue_regions", "tree_arrays",
+                                           "root_paths"} == new, (sampling, f)
+            assert runs == [sampling.get("sample", math.comb(60, f)) for f in range(4)]
 
     def test_one_deepest_tree_is_refused(self, monkeypatch):
-        # the f=3 count has no triple term: it needs every node's deepest tree
-        # to be shared, or not deeper than k
+        # f=3 values have no triple term: the pair table needs every node's
+        # deepest tree to be shared, or not deeper than k
         P, depth, LUT = trees.root_paths(4)
         forged = depth.copy()
         forged[7] = (1, 5, 5, 6)
         monkeypatch.setattr(trees, "root_paths", lambda _k: (P, forged, LUT))
         with pytest.raises(AssertionError, match="one deepest tree"):
-            trees.fault_triples.__wrapped__(4)
+            trees.fault_pairs.__wrapped__(4)
+
+
+class TestSampled:
+    """Sampled cells by lookups in the decomposition tables, against the flat kernel."""
+
+    @pytest.mark.parametrize("k", [*range(1, 13), 16])
+    def test_matches_flat_kernel_on_the_same_draws(self, k, monkeypatch):
+        # blocks of 700 draws, the last one short, each recorded as drawn
+        drawn, real = [], simulator._sample_fault_sets
+
+        def recording(*args):
+            drawn.append(real(*args) + 1)
+            return drawn[-1] - 1
+
+        monkeypatch.setattr(simulator, "_sample_fault_sets", recording)
+        monkeypatch.setattr(simulator, "SAMPLE_BLOCK", 700)
+        B, LUT = reach_tables(k)
+        for f in range(4):
+            drawn.clear()
+            got = sweep(k, f, sample=2000, seed=k).step_counts
+            assert [len(faults) for faults in drawn] == [700, 700, 600]
+            counts = sum(np.bincount(_kernels.sweep_rounds(B, LUT, faults), minlength=2 * k + 2)
+                         for faults in drawn)
+            assert got == tuple(counts.tolist()), f
+
+    def test_one_block_draws_as_one_call(self):
+        # a sample of at most one block draws all its fault sets in one call
+        for f in range(4):
+            faults = _sample_fault_sets(node_count(5) - 1, f, 512, np.random.default_rng(9)) + 1
+            rounds = _kernels.sweep_rounds(*reach_tables(5), faults)
+            want = np.bincount(rounds, minlength=12)
+            assert sweep(5, f, sample=512, seed=9).step_counts == tuple(want.tolist()), f
+        assert SAMPLE_BLOCK >= 512  # the benchmark's sampled cells
+
+    def test_peak_is_flat_in_the_sample_size(self):
+        # a block of draws at a time, not all 10^6 x 3 int64 draws (24 MB)
+        sweep(4, 3, sample=1, seed=1)  # the k's tables
+        tracemalloc.start()
+        try:
+            st = sweep(4, 3, sample=10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.runs == 10**6 and peak < 2**20, peak
 
 
 class TestOutputs:

@@ -374,8 +374,8 @@ class TestReachTables:
         assert reach_tables(k)[1] is root_paths(k)[2]
 
     def test_fault_pairs_build_peak(self, monkeypatch):
-        # one tree pair's candidates at a time: the build's peak stays within
-        # a small multiple of the three n x n tables it keeps
+        # singles folded a few rows at a time and pair candidates a chunk at a
+        # time: the build holds little beyond the three n x n tables it keeps
         monkeypatch.setattr(core, "_TABLES", {})
         root_paths(16), fault_singles(16)
         tracemalloc.start()
@@ -384,7 +384,28 @@ class TestReachTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * held, (peak, held)
+        assert peak < 2 * held, (peak, held)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_fault_pairs_by_brute_force(self, k):
+        # every v outside {x, y}, valued LUT[v, trees whose path holds x or y]
+        # clipped to k: W is the best value, W2 the next, V the best v where
+        # it is the only one
+        V, W, W2 = fault_pairs(k)
+        B, LUT = reach_tables(k)
+        n = len(B)
+        cols, rows = np.arange(n), np.arange(1, n)
+        for x in range(1, n):
+            values = np.maximum(LUT[cols, B[x] | B[rows]], k)  # [y - 1, v]
+            values[:, [0, x]] = k
+            values[rows - 1, rows] = k
+            top = np.sort(values, axis=1)
+            y = rows[rows != x]
+            assert np.array_equal(W[x, y], top[y - 1, -1]), x
+            assert np.array_equal(W2[x, y], top[y - 1, -2]), x
+            unique = W[x, y] > W2[x, y]
+            want = values[y - 1].argmax(axis=1)
+            assert np.array_equal(V[x, y][unique], want[unique]), x
 
     def test_k1_direct_edges(self):
         net = network(1)
