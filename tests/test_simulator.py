@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import random
 import threading
 import tracemalloc
@@ -332,16 +333,31 @@ class TestSweep:
         st = sweep(4, 0)
         assert st.runs == 1 and st.avg_max == 5 and st.max_max == 5
 
-    def test_workers_change_nothing_and_start_no_thread(self, monkeypatch):
-        # workers is validated and unused: a sweep runs in the calling thread
+    @staticmethod
+    def _forbid_threads(monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a sweep started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
+
+    def test_workers_merge(self, monkeypatch):
+        # workers is validated and unused: a sweep runs in the calling thread,
+        # so any workers count gives the one-worker result
+        self._forbid_threads(monkeypatch)
         for sampling in ({}, {"sample": 3000, "seed": 5}):
             want = sweep(6, 3, **sampling)
-            for workers in (2, 10**6):
+            for workers in (2, 3):
                 assert sweep(6, 3, workers=workers, **sampling) == want
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # no pool is started, so a workers count far above the host's CPU
+        # count, known or not, still runs in the calling thread
+        self._forbid_threads(monkeypatch)
+        sampling = {"sample": 3000, "seed": 5}
+        want = sweep(5, 2, **sampling)
+        for cpus in (3, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert sweep(5, 2, workers=10**6, **sampling) == want
 
     @pytest.mark.parametrize(
         "k, f, runs, avg, mx",
