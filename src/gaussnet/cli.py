@@ -8,6 +8,7 @@ import sys
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     network,
     node_count,
     parse_node,
+    residue,
     residue_regions,
     rho,
 )
@@ -43,9 +45,9 @@ from .simulator import (
 )
 from .trees import (
     build_tree,
-    expand_word,
     path_word,
     region_parent_map,
+    root_paths,
     tree_path,
     verify_independence,
 )
@@ -171,10 +173,12 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     )
     results.append(("rotation", rot_ok, "tree j = rho^(j-1) of tree 1"))
 
-    words_ok = all(
-        expand_word(path_word(v, k), k) == tree_path(trees[0], v)
-        for v in diamond_nodes(k)
-        if v != ZERO
+    P, depth, _ = root_paths(k)
+    words_ok = all(  # each word walked from the root as sums of its steps' residues
+        [w % n for w in accumulate(
+            sum(([residue(d, k)] * m for d, m in path_word(v, k).steps), []), initial=0)]
+        == P[0, depth[r, 0]::-1, r].tolist()
+        for r, v in enumerate(network(k).nodes) if r
     )
     results.append(("path-words", words_ok, "word table matches tree 1"))
 

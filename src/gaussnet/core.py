@@ -19,6 +19,8 @@ from enum import Enum
 from functools import wraps
 from typing import Callable, Iterator
 
+import numpy as np
+
 
 @dataclass(frozen=True, init=False)
 class GaussInt:
@@ -248,10 +250,32 @@ def classify(v: GaussInt, k: int) -> Region:
     raise AssertionError(f"{v} not covered by any region (k={k})")
 
 
+#: The 21 regions by code: 0 the origin, 1 + 5(q - 1) + c the c-th of S, B, R, Q, P in quadrant q
+REGIONS = (ORIGIN_REGION, *(Region(c, q) for q in (1, 2, 3, 4) for c in list(RegionClass)[:5]))
+
+
+@per_k
+def region_codes(k: int) -> np.ndarray:
+    """The REGIONS code (uint8) of every node, by residue: the quadrant-1 wedge
+    classed from (x, y) as by _wedge_class, quadrant q at its residues times
+    residue(i)^(q-1).  Raises unless the 20 regions partition the non-root residues."""
+    n, turn = node_count(k), residue(IMAG, k)
+    x, y = np.mgrid[1:k + 1, 0:k]
+    x, y = x[x + y <= k], y[x + y <= k]
+    cls = np.where(y == 0, np.where(x == 1, 0, np.where(x == k, 4, 1)), np.where(y == 1, 2, 3))
+    at = np.concatenate([(x - (2 * k + 1) * y) * pow(turn, q, n) % n for q in range(4)])
+    if not np.array_equal(np.bincount(at, minlength=n), np.arange(n) > 0):
+        raise AssertionError(f"k={k}: the 20 regions do not partition the non-root residues")
+    codes = np.zeros(n, dtype=np.uint8)
+    codes[at] = np.concatenate([cls + 5 * q + 1 for q in range(4)])
+    codes.setflags(write=False)  # per_k shares it
+    return codes
+
+
 @per_k
 def residue_regions(k: int) -> tuple[Region, ...]:
-    """classify() of every node, once per k, indexed by residue."""
-    return tuple(classify(v, k) for v in network(k).nodes)
+    """classify() of every node, by residue, read from region_codes."""
+    return tuple(map(REGIONS.__getitem__, region_codes(k).tolist()))
 
 
 # -- node literals ----------------------------------------------------------
@@ -319,7 +343,7 @@ class Network:
     """The dense Gaussian network of diameter k, built once and shared read-only.
 
     Node i is the residue class i of Z/n: nodes[i] is its diamond
-    representative, so the root 0 is index 0.
+    representative, placed at its residue; the root 0 is index 0.
     """
 
     def __init__(self, k: int):
@@ -327,14 +351,12 @@ class Network:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.alpha = alpha(k)
-        self.nodes: tuple[GaussInt, ...] = tuple(
-            sorted(diamond_nodes(k), key=lambda v: residue(v, k))
-        )
-        n = len(self.nodes)
-        steps = [residue(d, k) for d in DIRECTIONS]
-        self._adj = tuple(
-            tuple(self.nodes[(r + s) % n] for s in steps) for r in range(n)
-        )
+        x, y = np.mgrid[-k:k + 1, -k:k + 1]
+        x, y = x[abs(x) + abs(y) <= k], y[abs(x) + abs(y) <= k]
+        at = np.empty(node_count(k), dtype=np.intp)  # at[r]: residue r's place in x, y
+        at[(x - (2 * k + 1) * y) % len(at)] = np.arange(len(at))
+        self.nodes: tuple[GaussInt, ...] = tuple(map(GaussInt, x[at].tolist(), y[at].tolist()))
+        self._steps = tuple(residue(d, k) for d in DIRECTIONS)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -352,13 +374,14 @@ class Network:
         return residue(v, self.k)
 
     def neighbors(self, v: GaussInt) -> tuple[GaussInt, ...]:
-        return self._adj[self.index(v)]
+        r, n = self.index(v), len(self.nodes)
+        return tuple(self.nodes[(r + s) % n] for s in self._steps)
 
     def edges(self) -> list[tuple[GaussInt, GaussInt]]:
         """Each adjacency once, ordered by the lexicographically smaller endpoint."""
         out = []
-        for v, adj in zip(self.nodes, self._adj):
-            for w in adj:
+        for v in self.nodes:
+            for w in self.neighbors(v):
                 if _node_key(v) < _node_key(w):
                     out.append((v, w))
         out.sort(key=lambda e: (_node_key(e[0]), _node_key(e[1])))
@@ -407,16 +430,16 @@ def bfs_distance(u: GaussInt, v: GaussInt, k: int) -> int:
 
 
 def distances_from(u: GaussInt, k: int) -> dict[GaussInt, int]:
-    """BFS distances from u to every node."""
+    """BFS distances from u to every node, walked on residues."""
     net = network(k)
-    dist = {u: 0}
-    frontier = [u]
+    n, dist = len(net), {net.index(u): 0}
+    frontier = [*dist]
     while frontier:
         nxt = []
         for a in frontier:
-            for b in net.neighbors(a):
+            for b in ((a + s) % n for s in net._steps):
                 if b not in dist:
                     dist[b] = dist[a] + 1
                     nxt.append(b)
         frontier = nxt
-    return dist
+    return {net.nodes[r]: d for r, d in dist.items()}

@@ -165,12 +165,12 @@ def _frames(k: int) -> tuple[tuple[int, int, int, int, int] | None, ...]:
     """
     regions = residue_regions(k)
     n, iota = len(regions), residue(IMAG, k)
+    turns = [(pow(iota, m, n), pow(iota, -m % 4, n)) for m in range(4)]  # (turn, unturn) by m
     frames = [None]
     for r, reg in enumerate(regions[1:], start=1):
         m = reg.quadrant - 1
-        unturn = pow(iota, -m % 4, n)
-        r_d = r * unturn % n
-        frames.append((m, pow(iota, m, n), unturn, r_d, _COL[regions[r_d].cls]))
+        r_d = r * turns[m][1] % n
+        frames.append((m, *turns[m], r_d, _COL[regions[r_d].cls]))
     return tuple(frames)
 
 

@@ -1,7 +1,7 @@
 """The four node-independent spanning trees rooted at 0.
 
 Each node's parent/child directions depend only on its region, so tree 1 is
-read node by node from the region table; trees 2..4 are its images under the
+read from a table indexed by region code; trees 2..4 are its images under the
 quarter turn rho, an index permutation.  Every root-to-node path in tree 1
 also has a closed form as a direction word.
 """
@@ -19,6 +19,7 @@ from .core import (
     GaussInt,
     IMAG,
     ONE,
+    REGIONS,
     Region,
     RegionClass,
     ZERO,
@@ -29,6 +30,7 @@ from .core import (
     node_count,
     per_k,
     reduce,
+    region_codes,
     residue,
     residue_regions,
     rho,
@@ -105,14 +107,13 @@ def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
     parent[j-1, r] is the residue of node r's parent in tree j (the root 0 is
     its own parent); pdir[j-1, r] is the child-to-parent direction as an
     index into DIRECTIONS (meaningless at the root).  Row 0 is read from the
-    region table; row j is row j-1 carried through the quarter turn, which
+    region codes; row j is row j-1 carried through the quarter turn, which
     multiplies residues by residue(i).
     """
     _check_tree_k(k)
     n = node_count(k)
-    pdir = np.zeros((4, n), dtype=np.uint8)
-    pdir[0, 1:] = [DIRECTIONS.index(parent_child_spec(reg, 1)[0])
-                   for reg in residue_regions(k)[1:]]
+    pdir = np.empty((4, n), dtype=np.uint8)
+    pdir[0] = _PARENT_DIR[region_codes(k)]
     rot = np.arange(n) * residue(IMAG, k) % n
     for j in (1, 2, 3):
         pdir[j, rot] = _RHO_DIR[pdir[j - 1]]
@@ -431,14 +432,16 @@ def parent_child_spec(
     )
 
 
+#: Tree-1 parent direction of each REGIONS code, as an index into DIRECTIONS
+_PARENT_DIR = np.array([0, *(DIRECTIONS.index(parent_child_spec(r, 1)[0]) for r in REGIONS[1:])])
+
+
 def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
     """Parent pointers of tree j materialised from the region table alone."""
     _check_tree_k(k)
-    out = {}
-    for v, reg in zip(network(k).nodes[1:], residue_regions(k)[1:]):
-        pd, _ = parent_child_spec(reg, j)
-        out[v] = (reduce(v + pd, k), pd)
-    return out
+    up = {reg: parent_child_spec(reg, j)[0] for reg in REGIONS[1:]}  # one row per region
+    return {v: (reduce(v + up[reg], k), up[reg])
+            for v, reg in zip(network(k).nodes[1:], residue_regions(k)[1:])}
 
 
 def verify_independence(k: int) -> tuple[bool, tuple | None]:

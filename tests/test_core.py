@@ -309,12 +309,22 @@ class TestClassify:
         assert all(c == 1 for v, c in cover.items() if v != ZERO)
         assert sum(sizes) == node_count(k) - 1
 
-    @pytest.mark.parametrize("k", range(1, 10))
-    def test_residue_regions_is_classify(self, k):
+    @pytest.mark.parametrize("k", [*range(1, 10), 16, 30, 41])
+    def test_residue_regions_is_classify(self, k, tables):
         table = residue_regions(k)
         assert len(table) == node_count(k)
         for v in diamond_nodes(k):
             assert table[residue(v, k)] == classify(v, k)
+
+    @pytest.mark.parametrize("turn", (1, -1))
+    def test_region_fill_must_partition(self, tables, monkeypatch, turn):
+        # a wrong quarter turn lays quadrants onto each other: some non-root
+        # residues then get two region codes and others none
+        real = core.residue
+        monkeypatch.setattr(core, "residue", lambda z, k: (
+            turn % node_count(k) if z == core.IMAG else real(z, k)))
+        with pytest.raises(AssertionError, match="do not partition"):
+            core.region_codes(5)
 
 
 class TestTopology:

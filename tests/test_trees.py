@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussnet import core
+from gaussnet import core, trees
 from gaussnet.core import (
+    DIRECTIONS,
     GaussInt,
     IMAG,
     ZERO,
@@ -17,6 +18,7 @@ from gaussnet.core import (
     node_count,
     parse_node,
     reduce,
+    residue_regions,
     rho,
 )
 from gaussnet.trees import (
@@ -277,6 +279,26 @@ class TestRegionTable:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
             parent_child_spec(classify(ZERO, 3), 1)
+
+    @pytest.mark.parametrize("k", [*range(2, 10), 16, 30, 41])
+    def test_parent_row_is_region_spec(self, k, monkeypatch):
+        monkeypatch.setattr(core, "_TABLES", {})
+        want = [DIRECTIONS.index(parent_child_spec(classify(v, k), 1)[0])
+                for v in network(k).nodes[1:]]
+        assert tree_arrays(k)[1][0, 1:].tolist() == want
+
+    def test_cold_build_reads_each_region_row_once(self, monkeypatch):
+        # a fresh k's network, regions and trees read one row per region,
+        # not one classify or parent_child_spec call per node
+        calls = {}
+        for module, name in ((core, "classify"), (trees, "parent_child_spec")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(core, "_TABLES", {})
+        network(16), residue_regions(16), tree_arrays(16)
+        assert all(count <= 21 for count in calls.values()), calls
 
 
 class TestIndependence:
