@@ -6,12 +6,14 @@ import argparse
 import os
 import sys
 import time
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
+    REGIONS,
     ZERO,
     diamond_nodes,
     distances_from,
@@ -19,8 +21,8 @@ from .core import (
     network,
     node_count,
     parse_node,
+    region_codes,
     residue,
-    residue_regions,
     rho,
 )
 from .router import (
@@ -149,15 +151,12 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     )
     results.append(("topology", topo_ok, f"{n} nodes, diameter {max(dist.values())}"))
 
-    counts = Counter(map(str, residue_regions(k)))
+    counts = np.bincount(region_codes(k), minlength=len(REGIONS)).tolist()
     expected_sizes = {"S": 1, "P": 1, "B": k - 2, "R": k - 1,
                       "Q": (k - 1) * (k - 2) // 2}
-    partition_ok = counts.pop("origin", 0) == 1 and all(
-        counts.get(f"{cls}{q}", 0) == size
-        for cls, size in expected_sizes.items()
-        for q in (1, 2, 3, 4)
-    ) and sum(counts.values()) == n - 1
-    results.append(("partition", partition_ok, f"{len(counts)} quadrant regions"))
+    partition_ok = counts == [1, *(expected_sizes[reg.cls.value] for reg in REGIONS[1:])]
+    results.append(("partition", partition_ok,
+                    f"{sum(map(bool, counts[1:]))} quadrant regions"))
 
     trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
     spanning_ok = all(len(t.parent) == n - 1 for t in trees)

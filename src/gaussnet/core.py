@@ -272,12 +272,6 @@ def region_codes(k: int) -> np.ndarray:
     return codes
 
 
-@per_k
-def residue_regions(k: int) -> tuple[Region, ...]:
-    """classify() of every node, by residue, read from region_codes."""
-    return tuple(map(REGIONS.__getitem__, region_codes(k).tolist()))
-
-
 # -- node literals ----------------------------------------------------------
 
 _NODE_RE = re.compile(

@@ -26,7 +26,6 @@ from .core import (
     GaussInt,
     IMAG,
     ONE,
-    RegionClass,
     ZERO,
     classify,
     direction_name,
@@ -35,8 +34,8 @@ from .core import (
     network,
     per_k,
     reduce,
+    region_codes,
     residue,
-    residue_regions,
     rho,
 )
 from .trees import _check_tree_k, reach_tables
@@ -123,11 +122,8 @@ def _q3_wedge(t, d, k):
 
 
 # Rows: (class-group of transient, quadrant); columns: destination class
-# group within quadrant 1.  None marks a combination no tree path produces.
-_COL = {RegionClass.S: 0, RegionClass.B: 0, RegionClass.R: 1,
-        RegionClass.Q: 2, RegionClass.P: 3}
-_GROUP = dict(zip(_COL, ("SB", "SB", "R", "Q", "P")))  # row group of each class
-
+# group SB, R, Q, P within quadrant 1.  None marks a combination no tree
+# path produces.
 _GRID: dict[tuple[str, int], tuple[_Cell, _Cell, _Cell, _Cell]] = {
     ("SB", 1): (_c1, _c2, _c2, (_R1, 1)),
     ("R", 1): (_c3, _c4, (_UP, 1), None),
@@ -148,11 +144,17 @@ _GRID: dict[tuple[str, int], tuple[_Cell, _Cell, _Cell, _Cell]] = {
 }
 
 
+#: The grid row and, as a quadrant-1 destination, the grid column of each
+#: REGIONS code 1 + 5(q - 1) + c, the c-th of S, B, R, Q, P in quadrant q;
+#: the origin, code 0, has neither
+_CODE_ROWS = (None, *(_GRID[g, q] for q in (1, 2, 3, 4) for g in ("SB", "SB", "R", "Q", "P")))
+_CODE_COLS = (None, *(0, 0, 1, 2, 3) * 4)
+
+
 @per_k
 def _grid_rows(k: int) -> tuple[tuple[_Cell, ...] | None, ...]:
     """The grid row of every transient node, by residue; None for the origin, 0."""
-    regions = residue_regions(k)[1:]
-    return (None, *(_GRID[(_GROUP[reg.cls], reg.quadrant)] for reg in regions))
+    return tuple(map(_CODE_ROWS.__getitem__, region_codes(k).tolist()))
 
 
 @per_k
@@ -163,14 +165,14 @@ def _frames(k: int) -> tuple[tuple[int, int, int, int, int] | None, ...]:
     residue multipliers of rho^m and rho^-m, and the residue r * unturn of the
     turned destination, in quadrant 1, with its grid column; r = 0 has none.
     """
-    regions = residue_regions(k)
-    n, iota = len(regions), residue(IMAG, k)
+    codes = region_codes(k).tolist()
+    n, iota = len(codes), residue(IMAG, k)
     turns = [(pow(iota, m, n), pow(iota, -m % 4, n)) for m in range(4)]  # (turn, unturn) by m
     frames = [None]
-    for r, reg in enumerate(regions[1:], start=1):
-        m = reg.quadrant - 1
+    for r, code in enumerate(codes[1:], start=1):
+        m = (code - 1) // 5  # codes 1 + 5m .. 5 + 5m lie in quadrant m + 1
         r_d = r * turns[m][1] % n
-        frames.append((m, *turns[m], r_d, _COL[regions[r_d].cls]))
+        frames.append((m, *turns[m], r_d, _CODE_COLS[codes[r_d]]))
     return tuple(frames)
 
 

@@ -29,17 +29,18 @@ import numpy as np
 from . import _kernels
 from .core import (
     GaussInt,
+    REGIONS,
     ZERO,
     format_node,
     is_canonical,
     network,
     node_count,
     per_k,
+    region_codes,
     residue,
-    residue_regions,
 )
 from .trees import (fault_pairs, fault_singles, fault_triples, parent_child_spec,
-                    parent_rows, tree_arrays, triple_values)
+                    parent_rows, triple_values)
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -98,6 +99,13 @@ class NodeState:
     rows: Mapping[int, tuple[GaussInt, frozenset[GaussInt]]]
 
 
+#: Each REGIONS code's rows for all four trees: they depend only on the
+#: region of the relative address, so the nodes of one region share one
+#: read-only mapping.  Code 0, the root, gets the empty mapping.
+_REGION_ROWS = (MappingProxyType({}), *(
+    MappingProxyType({j: parent_child_spec(reg, j) for j in (1, 2, 3, 4)}) for reg in REGIONS[1:]))
+
+
 @dataclass(frozen=True)
 class SimRun:
     """Outcome of one synchronous run."""
@@ -115,10 +123,11 @@ class SimRun:
     def trees_resolved(self) -> Mapping[GaussInt, NodeState]:
         """Each reached node but the root: its state, derived on first read."""
         k, root = self.config.k, self.config.root
-        nodes, rows, resolved = network(k).nodes, _region_rows(k), {}
+        nodes, resolved = network(k).nodes, {}
+        codes = region_codes(k).tolist() if k > 1 else [0] * len(nodes)  # k = 1 has no trees
         for v, r in self.first_receipt.items():
             if i := residue(v - root, k):  # v's residue relative to the root
-                resolved[v] = NodeState(nodes[i], r, rows[i])
+                resolved[v] = NodeState(nodes[i], r, _REGION_ROWS[codes[i]])
         return MappingProxyType(resolved)
 
 
@@ -134,25 +143,6 @@ def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         for i, p in enumerate(row[1:], start=1):
             out[j][p].append(i)
     return tuple(tuple(map(tuple, tree)) for tree in out)
-
-
-@per_k
-def _region_rows(
-    k: int,
-) -> tuple[Mapping[int, tuple[GaussInt, frozenset[GaussInt]]], ...]:
-    """Each node's rows for all four trees, by residue.
-
-    The rows depend only on the region of the relative address, so the
-    nodes of one region share one mapping.  k = 1 has no trees: every row
-    mapping is empty, and the root's entry is unused.
-    """
-    empty = MappingProxyType({})
-    if k == 1:
-        return (empty,) * node_count(k)
-    regions = residue_regions(k)[1:]
-    rows = {reg: MappingProxyType({j: parent_child_spec(reg, j) for j in (1, 2, 3, 4)})
-            for reg in set(regions)}
-    return (empty, *map(rows.__getitem__, regions))
 
 
 def run(config: SimConfig) -> SimRun:
@@ -212,7 +202,7 @@ def reachability_report(sim: SimRun) -> dict[GaussInt, bool]:
 def region_resolution_check(k: int) -> bool:
     """Fault-free run resolves exactly the constructive parent maps."""
     sim = run(SimConfig(k=k))
-    want = tree_arrays(k)[0]
+    want = parent_rows(k)
     for j in (1, 2, 3, 4):
         for v, state in sim.trees_resolved.items():
             parent_dir, _ = state.rows[j]
@@ -259,8 +249,9 @@ def _exhaustive_counts(k: int, f: int) -> tuple[int, ...]:
     elif f == 1:
         counts = np.bincount(fault_singles(k)[1][1:, 0], minlength=size)
     elif f == 2:
-        W = fault_pairs(k)[1][1:, 1:]
-        counts = np.bincount(W[np.triu_indices(len(W), 1)], minlength=size)
+        W, rows = fault_pairs(k)[1], np.arange(node_count(k))
+        # the strict upper triangle, less row 0's n - 1 cells (the root is no fault)
+        counts = np.bincount(W[rows[:, None] < rows][len(W) - 1:], minlength=size)
     else:
         counts = _kernels.triple_counts(fault_pairs(k)[1], size) + fault_triples(k)
     return (0, *counts.tolist())

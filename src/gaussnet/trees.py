@@ -32,7 +32,6 @@ from .core import (
     reduce,
     region_codes,
     residue,
-    residue_regions,
     rho,
 )
 
@@ -96,43 +95,44 @@ def _check_tree_k(k: int) -> None:
         raise ValueError(f"trees require k >= {MIN_TREE_K}, got {k}")
 
 
-# rho acting on DIRECTIONS = (+1, -1, +i, -i): +1 -> +i, -1 -> -i, +i -> -1, -i -> +1
-_RHO_DIR = np.array((2, 3, 1, 0), dtype=np.uint8)
-
-
 @per_k
-def tree_arrays(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All four trees as index arrays over network(k).nodes, i.e. over Z/n.
+def parent_rows(k: int) -> np.ndarray:
+    """All four trees as one index array over network(k).nodes, i.e. over Z/n:
+    their one stored form.
 
-    parent[j-1, r] is the residue of node r's parent in tree j (the root 0 is
-    its own parent); pdir[j-1, r] is the child-to-parent direction as an
-    index into DIRECTIONS (meaningless at the root).  Row 0 is read from the
-    region codes; row j is row j-1 carried through the quarter turn, which
-    multiplies residues by residue(i).
+    parent[j-1, r] is the residue of node r's parent in tree j; the root 0
+    is its own parent.  Row 0 adds to each residue the step of its region's
+    parent direction.  Row j is row j-1 carried through the quarter turn,
+    which multiplies both sides by residue(i).  k = 1 has no trees, so it
+    gets four stars on the root.
     """
-    _check_tree_k(k)
     n = node_count(k)
-    pdir = np.empty((4, n), dtype=np.uint8)
-    pdir[0] = _PARENT_DIR[region_codes(k)]
-    rot = np.arange(n) * residue(IMAG, k) % n
-    for j in (1, 2, 3):
-        pdir[j, rot] = _RHO_DIR[pdir[j - 1]]
+    parent = np.zeros((4, n), dtype=np.intp)
+    if k < MIN_TREE_K:
+        return _shared(parent)[0]
     step = np.array([residue(d, k) for d in DIRECTIONS])
-    parent = (np.arange(n) + step[pdir]) % n  # a hop adds its direction's residue
-    parent[:, 0] = 0
-    return _shared(parent, pdir)
+    parent[0, 1:] = (np.arange(1, n) + step[_PARENT_DIR[region_codes(k)[1:]]]) % n
+    iota = residue(IMAG, k)
+    turned = np.arange(n) * iota % n
+    for j in (1, 2, 3):
+        parent[j, turned] = parent[j - 1] * iota % n
+    return _shared(parent)[0]
 
 
 def build_tree(j: int, k: int) -> SpanningTree:
-    """Tree j = rho^(j-1) image of tree 1, read from row j-1 of tree_arrays;
-    built on each call, as tree_arrays is the stored form."""
+    """Tree j = rho^(j-1) image of tree 1, read from row j-1 of parent_rows;
+    built on each call, as parent_rows is the stored form.  Each direction
+    is the unit whose residue is the step (parent - child) mod n: the four
+    unit residues are distinct."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"tree index must be 1..4, got {j}")
-    parent, pdir = tree_arrays(k)
-    nodes = network(k).nodes
-    rows = zip(nodes[1:], parent[j - 1, 1:].tolist(), pdir[j - 1, 1:].tolist())
+    _check_tree_k(k)
+    nodes, parent = network(k).nodes, parent_rows(k)[j - 1]
+    unit = {residue(d, k): d for d in DIRECTIONS}
+    steps = (parent - np.arange(len(nodes))) % len(nodes)
+    rows = zip(nodes[1:], parent[1:].tolist(), steps[1:].tolist())
     return SpanningTree(index=j, k=k, root=ZERO, parent={
-        v: (nodes[p], DIRECTIONS[d]) for v, p, d in rows
+        v: (nodes[p], unit[s]) for v, p, s in rows
     })
 
 
@@ -144,13 +144,6 @@ def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
     P, depth, _ = root_paths(k)
     i, nodes = residue(v, k), network(k).nodes
     return [nodes[u] for u in P[j, depth[i, j]::-1, i].tolist()]
-
-
-def parent_rows(k: int) -> np.ndarray:
-    """tree_arrays(k)[0]; k = 1 has no trees, so it gets four stars on the root."""
-    if k < MIN_TREE_K:
-        return np.zeros((4, node_count(k)), dtype=np.intp)
-    return tree_arrays(k)[0]
 
 
 @per_k
@@ -439,9 +432,9 @@ _PARENT_DIR = np.array([0, *(DIRECTIONS.index(parent_child_spec(r, 1)[0]) for r 
 def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
     """Parent pointers of tree j materialised from the region table alone."""
     _check_tree_k(k)
-    up = {reg: parent_child_spec(reg, j)[0] for reg in REGIONS[1:]}  # one row per region
-    return {v: (reduce(v + up[reg], k), up[reg])
-            for v, reg in zip(network(k).nodes[1:], residue_regions(k)[1:])}
+    up = [None, *(parent_child_spec(reg, j)[0] for reg in REGIONS[1:])]  # by region code
+    return {v: (reduce(v + up[c], k), up[c])
+            for v, c in zip(network(k).nodes[1:], region_codes(k)[1:].tolist())}
 
 
 def verify_independence(k: int) -> tuple[bool, tuple | None]:

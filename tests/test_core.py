@@ -16,6 +16,7 @@ from gaussnet.core import (
     GaussInt,
     Network,
     ONE,
+    REGIONS,
     RegionClass,
     TABLE_BUDGET,
     ZERO,
@@ -32,8 +33,8 @@ from gaussnet.core import (
     parse_node,
     per_k,
     reduce,
+    region_codes,
     residue,
-    residue_regions,
     rho,
     translate,
 )
@@ -311,10 +312,11 @@ class TestClassify:
 
     @pytest.mark.parametrize("k", [*range(1, 10), 16, 30, 41])
     def test_residue_regions_is_classify(self, k, tables):
-        table = residue_regions(k)
-        assert len(table) == node_count(k)
+        # region_codes is the one region table by residue: each code names classify's region
+        codes = region_codes(k)
+        assert len(codes) == node_count(k)
         for v in diamond_nodes(k):
-            assert table[residue(v, k)] == classify(v, k)
+            assert REGIONS[codes[residue(v, k)]] == classify(v, k)
 
     @pytest.mark.parametrize("turn", (1, -1))
     def test_region_fill_must_partition(self, tables, monkeypatch, turn):

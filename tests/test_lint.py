@@ -105,6 +105,18 @@ def test_per_k_tables_take_k_alone():
     assert found and all(params in ("k", "k: int") for params in found.values()), found
 
 
+def test_per_k_tables_are_pinned():
+    # region_codes is the one per-residue region table and parent_rows the
+    # one stored form of the trees: a new per-k table is a reviewed decision
+    found = {f"{p.stem}.{name}" for p in SOURCES for name in per_k_signatures(p.read_text())}
+    assert found == {
+        "core.network", "core.region_codes",
+        "trees.parent_rows", "trees.root_paths", "trees.reach_tables",
+        "trees.fault_singles", "trees.fault_pairs", "trees.fault_triples",
+        "simulator._children", "router._grid_rows", "router._frames",
+    }
+
+
 def named(source: str) -> set[str]:
     """Every name a module reads or imports, and every module it imports."""
     found = set()

@@ -189,9 +189,10 @@ class TestRouteErrors:
     @pytest.fixture
     def forge(self, monkeypatch):
         def forge_cell(cell):
-            row = list(router._GRID[("SB", 1)])
-            row[3] = cell
-            monkeypatch.setitem(router._GRID, ("SB", 1), tuple(row))
+            row = router._CODE_ROWS[1]  # code 1 is S1, whose row B1 shares
+            forged = (*row[:3], cell)
+            monkeypatch.setattr(router, "_CODE_ROWS",
+                                tuple(forged if r is row else r for r in router._CODE_ROWS))
             core._TABLES.clear()
 
         yield forge_cell

@@ -560,7 +560,7 @@ class TestDecomposition:
                            (3, triples)):
                 before = names()
                 runs.append(sweep(5, f, workers=4, **sampling).runs)
-                assert names() - before - {"network", "region_codes", "tree_arrays",
+                assert names() - before - {"network", "region_codes", "parent_rows",
                                            "root_paths"} == new, (sampling, f)
             assert runs == [sampling.get("sample", math.comb(60, f)) for f in range(4)]
 

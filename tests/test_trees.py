@@ -8,7 +8,6 @@ import pytest
 
 from gaussnet import core, trees
 from gaussnet.core import (
-    DIRECTIONS,
     GaussInt,
     IMAG,
     ZERO,
@@ -18,7 +17,8 @@ from gaussnet.core import (
     node_count,
     parse_node,
     reduce,
-    residue_regions,
+    region_codes,
+    residue,
     rho,
 )
 from gaussnet.trees import (
@@ -30,11 +30,11 @@ from gaussnet.trees import (
     fault_singles,
     fault_triples,
     parent_child_spec,
+    parent_rows,
     path_word,
     reach_tables,
     region_parent_map,
     root_paths,
-    tree_arrays,
     tree_path,
     verify_independence,
 )
@@ -282,10 +282,15 @@ class TestRegionTable:
 
     @pytest.mark.parametrize("k", [*range(2, 10), 16, 30, 41])
     def test_parent_row_is_region_spec(self, k, monkeypatch):
+        # rows 1..3 are row 0 times residue(i), not rotated directions: each
+        # row, and each tree's stored direction, is checked against its spec
         monkeypatch.setattr(core, "_TABLES", {})
-        want = [DIRECTIONS.index(parent_child_spec(classify(v, k), 1)[0])
-                for v in network(k).nodes[1:]]
-        assert tree_arrays(k)[1][0, 1:].tolist() == want
+        nodes = network(k).nodes
+        for j in (1, 2, 3, 4):
+            up = [parent_child_spec(classify(v, k), j)[0] for v in nodes[1:]]
+            assert parent_rows(k)[j - 1, 1:].tolist() == [
+                residue(v + d, k) for v, d in zip(nodes[1:], up)], j
+            assert [d for _, d in build_tree(j, k).parent.values()] == up, j
 
     def test_cold_build_reads_each_region_row_once(self, monkeypatch):
         # a fresh k's network, regions and trees read one row per region,
@@ -297,7 +302,7 @@ class TestRegionTable:
                 return real(*args)
             monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(core, "_TABLES", {})
-        network(16), residue_regions(16), tree_arrays(16)
+        network(16), region_codes(16), parent_rows(16)
         assert all(count <= 21 for count in calls.values()), calls
 
 
@@ -327,11 +332,11 @@ class TestIndependence:
     @pytest.mark.parametrize("copies", ({2: 1}, {3: 1}, {4: 2}, {3: 2}, {3: 2, 4: 2}))
     def test_matches_reach_oracle_on_forged_trees(self, monkeypatch, k, copies):
         # tree j's parents replaced by tree copies[j]'s: their paths coincide
-        parent, pdir = tree_arrays(k)
+        parent = parent_rows(k)
         forged = parent.copy()
         for j, like in copies.items():
             forged[j - 1] = parent[like - 1]
-        monkeypatch.setattr("gaussnet.trees.tree_arrays", lambda _k: (forged, pdir))
+        monkeypatch.setattr("gaussnet.trees.parent_rows", lambda _k: forged)
         monkeypatch.setattr("gaussnet.trees.root_paths", root_paths.__wrapped__)
         ok, witness = verify_independence(k)
         assert not ok and (ok, witness) == independence_by_reach(k)
@@ -377,12 +382,11 @@ class TestReachTables:
 
     def test_parent_cycle_raises(self, monkeypatch):
         k = 3
-        parent, pdir = tree_arrays(k)
         net = network(k)
         a, b = net.index(n("1")), net.index(n("2"))
-        cyclic = parent.copy()
+        cyclic = parent_rows(k).copy()
         cyclic[0, a], cyclic[0, b] = b, a
-        monkeypatch.setattr("gaussnet.trees.tree_arrays", lambda _k: (cyclic, pdir))
+        monkeypatch.setattr("gaussnet.trees.parent_rows", lambda _k: cyclic)
         with pytest.raises(AssertionError, match="tree 1 .* parent cycle"):
             root_paths.__wrapped__(k)
 
