@@ -162,12 +162,12 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     spanning_ok = all(len(t.parent) == n - 1 for t in trees)
     results.append(("spanning", spanning_ok, f"{n - 1} edges per tree"))
 
-    height = max(len(tree_path(trees[0], v)) - 1 for v in diamond_nodes(k))
+    height = max(trees[0].depth(v) for v in diamond_nodes(k))
     results.append(("height", height == 2 * k, f"height {height}"))
 
+    edges1 = trees[0].edges()
     rot_ok = all(
-        trees[j].edges()
-        == frozenset(frozenset(rho(q, j) for q in e) for e in trees[0].edges())
+        trees[j].edges() == frozenset(frozenset(rho(q, j) for q in e) for e in edges1)
         for j in range(4)
     )
     results.append(("rotation", rot_ok, "tree j = rho^(j-1) of tree 1"))
@@ -182,7 +182,7 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     results.append(("path-words", words_ok, "word table matches tree 1"))
 
     table_ok = all(
-        region_parent_map(j, k) == dict(trees[j - 1].parent) for j in (1, 2, 3, 4)
+        region_parent_map(j, k) == dict(trees[j - 1].parent.items()) for j in (1, 2, 3, 4)
     )
     results.append(("region-table", table_ok, "region rows rebuild all trees"))
 

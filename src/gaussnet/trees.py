@@ -2,15 +2,16 @@
 
 Each node's parent/child directions depend only on its region, so tree 1 is
 read from a table indexed by region code; trees 2..4 are its images under the
-quarter turn rho, an index permutation.  Every root-to-node path in tree 1
-also has a closed form as a direction word.
+quarter turn rho, an index permutation.  All four are stored once, as the
+rows of parent_rows(k); a SpanningTree is a read-only view of one row.
+Every root-to-node path in tree 1 also has a closed form as a direction word.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -41,12 +42,71 @@ MIN_TREE_K = 2
 BLOCK_NODES = 2048  # nodes per verify_independence sort, pair candidates per fault_pairs fold
 
 
+class ParentView(Mapping):
+    """Tree j's parent pointers, read from row j-1 of parent_rows(k).
+
+    view[v] is (parent, direction) for canonical non-root v, looked up by v's
+    residue; the direction is the unit whose residue is the step (parent -
+    v) mod n, as the four unit residues are distinct.  Iteration is
+    network(k).nodes[1:], in residue order.  The view holds the node tuple
+    and the row itself, so it stays valid after per_k drops k.
+    """
+
+    __slots__ = ("_k", "_nodes", "_row", "_unit")
+
+    def __init__(self, k: int, nodes: tuple[GaussInt, ...], row: np.ndarray) -> None:
+        self._k, self._nodes, self._row = k, nodes, row
+        self._unit = {residue(d, k): d for d in DIRECTIONS}
+
+    def __getitem__(self, v: GaussInt) -> tuple[GaussInt, GaussInt]:
+        if isinstance(v, GaussInt) and is_canonical(v, self._k):
+            r = residue(v, self._k)
+            if r:  # residue 0 is the root, which has no parent
+                p = self._row.item(r)
+                return self._nodes[p], self._unit[(p - r) % len(self._nodes)]
+        raise KeyError(v)
+
+    def __len__(self) -> int:
+        return len(self._nodes) - 1
+
+    def __iter__(self):
+        return itertools.islice(self._nodes, 1, None)
+
+    def _pairs(self):
+        """(parent, direction) of nodes[1:] in one pass over the row."""
+        n, row = len(self._nodes), self._row[1:]
+        steps = (row - np.arange(1, n)) % n
+        return zip(map(self._nodes.__getitem__, row.tolist()),
+                   map(self._unit.__getitem__, steps.tolist()))
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._pairs())
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
 @dataclass(frozen=True)
 class SpanningTree:
-    """Parent-pointer form of one spanning tree.
+    """One spanning tree, as a view: no per-node state of its own.
 
     parent maps every non-root node to (parent, direction), where direction
     is the unit step from child to parent: parent == reduce(child + direction).
+    It is a read-only ParentView, not a dict; dict(tree.parent) copies it.
     """
 
     index: int
@@ -58,7 +118,8 @@ class SpanningTree:
         return frozenset(frozenset((c, p)) for c, (p, _) in self.parent.items())
 
     def depth(self, v: GaussInt) -> int:
-        return len(tree_path(self, v)) - 1
+        """v's depth in this tree, read from root_paths' depth table."""
+        return int(root_paths(self.k)[1][_node_residue(v, self.k), self.index - 1])
 
     def to_json(self) -> str:
         rows = [
@@ -120,29 +181,26 @@ def parent_rows(k: int) -> np.ndarray:
 
 
 def build_tree(j: int, k: int) -> SpanningTree:
-    """Tree j = rho^(j-1) image of tree 1, read from row j-1 of parent_rows;
-    built on each call, as parent_rows is the stored form.  Each direction
-    is the unit whose residue is the step (parent - child) mod n: the four
-    unit residues are distinct."""
+    """Tree j = rho^(j-1) image of tree 1: a view of row j-1 of parent_rows,
+    the stored form, so a call does no per-node work."""
     if j not in (1, 2, 3, 4):
         raise ValueError(f"tree index must be 1..4, got {j}")
     _check_tree_k(k)
-    nodes, parent = network(k).nodes, parent_rows(k)[j - 1]
-    unit = {residue(d, k): d for d in DIRECTIONS}
-    steps = (parent - np.arange(len(nodes))) % len(nodes)
-    rows = zip(nodes[1:], parent[1:].tolist(), steps[1:].tolist())
-    return SpanningTree(index=j, k=k, root=ZERO, parent={
-        v: (nodes[p], unit[s]) for v, p, s in rows
-    })
+    view = ParentView(k, network(k).nodes, parent_rows(k)[j - 1])
+    return SpanningTree(index=j, k=k, root=ZERO, parent=view)
+
+
+def _node_residue(v: GaussInt, k: int) -> int:
+    if not is_canonical(v, k):
+        raise ValueError(f"{v} is not canonical for k={k}")
+    return residue(v, k)
 
 
 def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
     """The unique root..v path, root first, read from root_paths' P."""
-    k, j = tree.k, tree.index - 1
-    if not is_canonical(v, k):
-        raise ValueError(f"{v} is not canonical for k={k}")
+    k, j, i = tree.k, tree.index - 1, _node_residue(v, tree.k)
     P, depth, _ = root_paths(k)
-    i, nodes = residue(v, k), network(k).nodes
+    nodes = network(k).nodes
     return [nodes[u] for u in P[j, depth[i, j]::-1, i].tolist()]
 
 

@@ -1,13 +1,16 @@
 """Spanning tree construction, path words, region table, independence."""
 
 import json
+import pickle
 import tracemalloc
+from collections.abc import ItemsView, ValuesView
 
 import numpy as np
 import pytest
 
 from gaussnet import core, trees
 from gaussnet.core import (
+    DIRECTIONS,
     GaussInt,
     IMAG,
     ZERO,
@@ -69,6 +72,16 @@ def path_by_parents(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
         path.append(tree.parent[path[-1]][0])
         assert len(path) <= 2 * tree.k + 1, f"parent chain from {v} exceeds height bound"
     return path[::-1]
+
+
+def parent_dict(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
+    """The plain oracle of tree j's parent view: the dict build_tree copied
+    from row j-1 of parent_rows on each call before trees were views."""
+    nodes, parent = network(k).nodes, parent_rows(k)[j - 1]
+    unit = {residue(d, k): d for d in DIRECTIONS}
+    steps = (parent - np.arange(len(nodes))) % len(nodes)
+    rows = zip(nodes[1:], parent[1:].tolist(), steps[1:].tolist())
+    return {v: (nodes[p], unit[s]) for v, p, s in rows}
 
 
 def tree1_edge_set(k: int) -> set[frozenset[GaussInt]]:
@@ -162,6 +175,65 @@ class TestRotatedTrees:
             build_tree(5, 3)
 
 
+class TestParentView:
+    @pytest.mark.parametrize("k", [*range(2, 13), 16, 30, 41])
+    def test_equals_dict_oracle(self, k):
+        for j in (1, 2, 3, 4):
+            view, oracle = build_tree(j, k).parent, parent_dict(j, k)
+            assert dict(view) == oracle, j  # one lookup per key
+            assert list(view.items()) == list(oracle.items()), j  # one pass
+            assert list(view.values()) == list(oracle.values()), j
+
+    def test_keys(self):
+        k = 4
+        view, nodes = build_tree(2, k).parent, network(k).nodes
+        assert list(view) == list(nodes[1:]) and len(view) == len(nodes) - 1
+        assert all(v in view for v in nodes[1:])
+        for key in (ZERO, GaussInt(3, 2), GaussInt(0, -5), (1, 0), 1):
+            assert key not in view and view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+
+    def test_read_only(self):
+        view = build_tree(1, 3).parent
+        with pytest.raises(TypeError):
+            view[n("1")] = (ZERO, GaussInt(-1, 0))
+        with pytest.raises(TypeError):
+            del view[n("1")]
+        assert isinstance(view.items(), ItemsView) and isinstance(view.values(), ValuesView)
+        assert (n("1"), view[n("1")]) in view.items() and view[n("1")] in view.values()
+
+    def test_survives_eviction(self, monkeypatch):
+        # per_k drops k's tables; the tree keeps reading the row it was given
+        monkeypatch.setattr(core, "_TABLES", {})
+        k = 7
+        t, oracle = build_tree(3, k), parent_dict(3, k)
+        monkeypatch.setattr(core, "TABLE_BUDGET", 0)
+        network(k + 1)
+        assert k not in core._TABLES
+        assert dict(t.parent) == oracle and dict(t.parent.items()) == oracle
+        assert t.to_json() == SpanningTree(3, k, ZERO, oracle).to_json()
+
+    @pytest.mark.parametrize("j", (1, 2, 3, 4))
+    def test_pickle_round_trip(self, j):
+        t = build_tree(j, 5)
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and list(copy.parent.items()) == list(t.parent.items())
+
+    def test_build_holds_no_per_node_state(self, monkeypatch):
+        # four trees over the cached tables: views, not n - 1 entries each
+        monkeypatch.setattr(core, "_TABLES", {})
+        k = 40
+        network(k), parent_rows(k)
+        tracemalloc.start()
+        try:
+            held = [build_tree(j, k) for j in (1, 2, 3, 4)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 4 and peak < 64 * 1024, peak
+
+
 class TestPathWords:
     def test_reference_word(self):
         word = path_word(n("-2+2i"), 4)
@@ -219,6 +291,15 @@ class TestHeight:
         t = build_tree(1, 5)
         assert t.depth(n("i")) == 10
         assert t.depth(n("-1")) == 10
+
+    @pytest.mark.parametrize("k", (2, 5, 9))
+    def test_depth_is_path_length(self, k):
+        for j in (1, 2, 3, 4):
+            t = build_tree(j, k)
+            assert [t.depth(v) for v in diamond_nodes(k)] == [
+                len(tree_path(t, v)) - 1 for v in diamond_nodes(k)], j
+        with pytest.raises(ValueError, match="not canonical"):
+            t.depth(GaussInt(k, 1))
 
     def test_root_path_trivial(self):
         assert tree_path(build_tree(1, 3), ZERO) == [ZERO]
