@@ -11,6 +11,7 @@ Z/n and G_k is the circulant graph on Z/n with jumps 1 and 2k+1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import threading
@@ -317,6 +318,37 @@ def format_node(v: GaussInt) -> str:
     return f"{x}{sign}{imag}"
 
 
+#: Stands for one leaf value in the shapes given to row_template.
+LEAF = "\0"
+
+
+def row_template(shape: object) -> str:
+    """A format string for rows shaped like shape, one {} for each LEAF in
+    it: json.dumps(row, indent=2) as it sits in a list two levels deep."""
+    row = json.dumps(shape, indent=2).replace("{", "{{").replace("}", "}}")
+    return row.replace(json.dumps(LEAF), "{}").replace("\n", "\n    ")
+
+
+def indented_json(payload: dict, **rows: tuple[str, list[tuple]]) -> str:
+    """json.dumps({**payload, key: [row, ...], ...}, indent=2), byte for byte.
+
+    With an indent json.dumps takes its pure-Python encoder, so it sees
+    only payload here.  Each list is given as (template, leaves): a
+    row_template and, per row, its leaf values as JSON text or ints.
+    """
+    text = json.dumps({**payload, **{key: [LEAF + key] if leaves else []
+                                     for key, (_, leaves) in rows.items()}}, indent=2)
+    for key, (template, leaves) in rows.items():
+        if leaves:  # each row in place of the list's one mark, LEAF + key
+            rows_text = ",\n    ".join(itertools.starmap(template.format, leaves))
+            text = text.replace(json.dumps(LEAF + key), rows_text)
+    return text
+
+
+_XY_ROW = row_template({"x": LEAF, "y": LEAF})
+_EDGE_ROW = row_template([{"x": LEAF, "y": LEAF}] * 2)
+
+
 # -- the network ------------------------------------------------------------
 
 def _node_key(v: GaussInt) -> tuple[int, int]:
@@ -386,16 +418,11 @@ class Network:
         return (a - b).l1() != 1
 
     def to_json(self) -> str:
-        payload = {
-            "k": self.k,
-            "alpha": {"x": self.alpha.x, "y": self.alpha.y},
-            "nodes": [{"x": v.x, "y": v.y} for v in diamond_nodes(self.k)],
-            "edges": [
-                [{"x": a.x, "y": a.y}, {"x": b.x, "y": b.y}]
-                for a, b in self.edges()
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        return indented_json(
+            {"k": self.k, "alpha": {"x": self.alpha.x, "y": self.alpha.y}},
+            nodes=(_XY_ROW, [(v.x, v.y) for v in diamond_nodes(self.k)]),
+            edges=(_EDGE_ROW, [(a.x, a.y, b.x, b.y) for a, b in self.edges()]),
+        )
 
     def to_dot(self) -> str:
         lines = [f"graph gaussian_{self.k} {{"]

@@ -18,6 +18,7 @@ exhaustive sweeps observe 2k.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,15 +30,18 @@ import numpy as np
 from . import _kernels
 from .core import (
     GaussInt,
+    LEAF,
     REGIONS,
     ZERO,
     format_node,
+    indented_json,
     is_canonical,
     network,
     node_count,
     per_k,
     region_codes,
     residue,
+    row_template,
 )
 from .trees import (fault_pairs, fault_singles, fault_triples, parent_child_spec,
                     parent_rows, triple_values)
@@ -257,11 +261,23 @@ def _exhaustive_counts(k: int, f: int) -> tuple[int, ...]:
     return (0, *counts.tolist())
 
 
-def _sample_fault_sets(
-    n_others: int, f: int, budget: int, rng: np.random.Generator
-) -> np.ndarray:
+def _uniform(rng: random.Random, bound: int, size: int) -> np.ndarray:
+    """size values uniform in 0..bound-1, by exact rejection: little-endian
+    words of rng.randbytes, 32-bit (64-bit for a bound above 2^32), are kept
+    below the largest multiple of bound they can hold and taken mod bound;
+    the shortfall is drawn again."""
+    dtype = np.dtype("<u4" if bound <= 1 << 32 else "<u8")
+    top = (1 << 8 * dtype.itemsize) // bound * bound - 1  # the last word kept
+    words = np.empty(0, dtype=dtype)
+    while len(words) < size:
+        more = np.frombuffer(rng.randbytes(dtype.itemsize * (size - len(words))), dtype=dtype)
+        words = np.concatenate([words, more[more <= top]])
+    return (words % bound).astype(np.intp)
+
+
+def _sample_fault_sets(n_others: int, f: int, budget: int, rng: random.Random) -> np.ndarray:
     """budget rows of f distinct values in 0..n_others-1."""
-    draws = rng.integers(0, n_others, size=(budget, f), dtype=np.int64)
+    draws = _uniform(rng, n_others, budget * f).reshape(budget, f)
     while f > 1:
         dup = np.zeros(budget, dtype=bool)
         for a in range(f):
@@ -269,14 +285,14 @@ def _sample_fault_sets(
                 dup |= draws[:, a] == draws[:, b]
         if not dup.any():
             break
-        draws[dup] = rng.integers(0, n_others, size=(int(dup.sum()), f))
+        draws[dup] = _uniform(rng, n_others, int(dup.sum()) * f).reshape(-1, f)
     return draws
 
 
 def _sampled_counts(k: int, f: int, sample: int, seed: int | None) -> tuple[int, ...]:
     """Step counts of `sample` draws of f distinct non-root nodes, SAMPLE_BLOCK
     at a time, read from the trees.fault_* tables: value w takes w + 1 steps."""
-    rng, counts = np.random.default_rng(seed), np.zeros(2 * k + 1, dtype=np.int64)
+    rng, counts = random.Random(seed), np.zeros(2 * k + 1, dtype=np.int64)
     for lo in range(0, sample, SAMPLE_BLOCK):
         # residue 0 is the root, so draws index the other nodes from 1
         faults = _sample_fault_sets(node_count(k) - 1, f, min(SAMPLE_BLOCK, sample - lo), rng) + 1
@@ -356,24 +372,16 @@ def sweep_table_csv(
     return "\n".join(lines) + "\n"
 
 
+_CELL_ROW = row_template(dict.fromkeys(
+    ("alpha", "faults", "runs", "sampled", "avg_max", "avg_max_exact", "max_max"), LEAF))
+
+
 def sweep_metadata(stats: Mapping[tuple[int, int], SweepStats]) -> str:
-    payload = {
-        "step_convention": STEP_CONVENTION,
-        "engine": _kernels.active_engine(),
-        "cells": [
-            {
-                "alpha": alpha_label(st.k),
-                "faults": st.faults,
-                "runs": st.runs,
-                "sampled": st.sampled,
-                "avg_max": st.avg_text(),
-                "avg_max_exact": f"{st.avg_max.numerator}/{st.avg_max.denominator}",
-                "max_max": st.max_max,
-            }
-            for st in stats.values()
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    cells = [(json.dumps(alpha_label(st.k)), st.faults, st.runs, json.dumps(st.sampled),
+              json.dumps(st.avg_text()), f'"{st.avg_max.numerator}/{st.avg_max.denominator}"',
+              st.max_max) for st in stats.values()]
+    return indented_json({"step_convention": STEP_CONVENTION, "engine": _kernels.active_engine()},
+                         cells=(_CELL_ROW, cells))
 
 
 def simrun_trace_json(sim: SimRun) -> str:

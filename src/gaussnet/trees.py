@@ -19,6 +19,7 @@ from .core import (
     DIRECTIONS,
     GaussInt,
     IMAG,
+    LEAF,
     ONE,
     REGIONS,
     Region,
@@ -26,6 +27,7 @@ from .core import (
     ZERO,
     direction_name,
     format_node,
+    indented_json,
     is_canonical,
     network,
     node_count,
@@ -34,12 +36,15 @@ from .core import (
     region_codes,
     residue,
     rho,
+    row_template,
 )
 
 import json
 
 MIN_TREE_K = 2
 BLOCK_NODES = 2048  # nodes per verify_independence sort, pair candidates per fault_pairs fold
+_XY = {"x": LEAF, "y": LEAF}
+_TREE_ROW = row_template({"node": _XY, "parent": _XY, "dir": LEAF})
 
 
 class ParentView(Mapping):
@@ -122,17 +127,10 @@ class SpanningTree:
         return int(root_paths(self.k)[1][_node_residue(v, self.k), self.index - 1])
 
     def to_json(self) -> str:
-        rows = [
-            {
-                "node": {"x": c.x, "y": c.y},
-                "parent": {"x": p.x, "y": p.y},
-                "dir": direction_name(d),
-            }
-            for c, (p, d) in sorted(
-                self.parent.items(), key=lambda item: (item[0].x, item[0].y)
-            )
-        ]
-        return json.dumps({"j": self.index, "k": self.k, "parents": rows}, indent=2)
+        name = {d: json.dumps(direction_name(d)) for d in DIRECTIONS}
+        leaves = [(c.x, c.y, p.x, p.y, name[d]) for c, (p, d) in sorted(
+            self.parent.items(), key=lambda item: (item[0].x, item[0].y))]
+        return indented_json({"j": self.index, "k": self.k}, parents=(_TREE_ROW, leaves))
 
     def to_dot(self) -> str:
         lines = [f"digraph tree_{self.index}_k{self.k} {{"]
@@ -273,7 +271,7 @@ def _path_choices(k: int, trees: tuple[int, ...], rows: int):
     sizes = depth[heads][:, trees].astype(np.intp) - 1
     total = sizes.prod(axis=1)
     cuts = np.searchsorted(np.cumsum(total), np.arange(rows, total.sum(), rows))
-    for lo, hi in itertools.pairwise([0, *np.unique([*cuts, len(heads)])]):
+    for lo, hi in itertools.pairwise([0, *sorted({*cuts.tolist(), len(heads)})]):
         at, s, t = heads[lo:hi], sizes[lo:hi], total[lo:hi]
         i = np.repeat(np.arange(hi - lo), t)
         r = np.arange(t.sum()) - np.repeat(np.cumsum(t) - t, t)
@@ -349,12 +347,17 @@ def fault_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def triple_values(k: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The value of each triple {a, b, c} of distinct non-root faults: the
-    max over its pairs of W, or of W2 where the pair's best V is the third."""
+    max over its pairs of W, or of W2 where the pair's best V is the third.
+    Each pair is one flat index x n + y, read with take: a 1-D gather is
+    cheaper than the 2-D fancy index V[x, y]."""
     V, W, W2 = fault_pairs(k)
+    n = len(W)
+    V, W, W2 = V.ravel(), W.ravel(), W2.ravel()  # views: the tables are C-ordered
 
-    def without(x, y, z):  # G(x, y) without z
-        return np.where(V[x, y] == z, W2[x, y], W[x, y])
-    return np.maximum(np.maximum(without(a, b, c), without(a, c, b)), without(b, c, a))
+    def without(xy, z):  # G(x, y) without z
+        return np.where(V.take(xy) == z, W2.take(xy), W.take(xy))
+    ab, ac, bc = a * n + b, a * n + c, b * n + c
+    return np.maximum(np.maximum(without(ab, c), without(ac, b)), without(bc, a))
 
 
 @per_k

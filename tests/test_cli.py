@@ -241,6 +241,30 @@ def test_entry_point_bad_output_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweeps_verify_and_tree_load_no_lazy_numpy_submodule(tmp_path):
+    # numpy.ma (np.unique's first call) and numpy.random each cost a first
+    # call milliseconds and megabytes: no sweep, sampled or not, loads them
+    script = """
+import contextlib, io, sys
+import gaussnet
+from gaussnet import cli
+from gaussnet.simulator import sweep
+for f in range(4):
+    sweep(9, f)
+sweep(16, 3, sample=512, seed=1)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--k", "2..4"]) == 0
+    assert cli.main(["tree", "--k", "4"]) == 0
+print(sorted(m for m in ("numpy.ma", "numpy.random") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,  # tree writes here
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(list(tmp_path.glob("tree_j*_k4.dot"))) == 4
+
+
 def test_simulation_error_is_usage_error(monkeypatch, capsys):
     from gaussnet.simulator import SimulationError
 

@@ -14,6 +14,7 @@ from gaussnet import core
 from gaussnet.core import (
     DIRECTIONS,
     GaussInt,
+    LEAF,
     Network,
     ONE,
     REGIONS,
@@ -26,6 +27,7 @@ from gaussnet.core import (
     diamond_nodes,
     distances_from,
     format_node,
+    indented_json,
     neighbors,
     network,
     node_count,
@@ -36,6 +38,7 @@ from gaussnet.core import (
     region_codes,
     residue,
     rho,
+    row_template,
     translate,
 )
 from gaussnet.router import route
@@ -389,6 +392,26 @@ class TestNetworkExports:
         seen = {tuple(sorted(((e[0]["x"], e[0]["y"]), (e[1]["x"], e[1]["y"]))))
                 for e in payload["edges"]}
         assert len(seen) == 50
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_json_is_indented_json_dumps(self, k):
+        # the rows are filled into templates: json.dumps(indent=2) is the oracle
+        net = network(k)
+        payload = {
+            "k": k,
+            "alpha": {"x": k, "y": k + 1},
+            "nodes": [{"x": v.x, "y": v.y} for v in diamond_nodes(k)],
+            "edges": [[{"x": a.x, "y": a.y}, {"x": b.x, "y": b.y}] for a, b in net.edges()],
+        }
+        assert net.to_json() == json.dumps(payload, indent=2)
+
+    def test_indented_json_empty_and_odd_rows(self):
+        template = row_template({"a{b}": [LEAF, {"c": LEAF}]})
+        rows = [('"x"', 1), ("true", -2)]
+        want = {"h": {"i": [1]}, "t": [{"a{b}": ['x', {"c": 1}]}, {"a{b}": [True, {"c": -2}]}],
+                "e": []}
+        got = indented_json({"h": {"i": [1]}}, t=(template, rows), e=(template, []))
+        assert got == json.dumps(want, indent=2)
 
     def test_edges_listed_once_lexicographic(self):
         net = network(2)

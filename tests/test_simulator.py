@@ -39,6 +39,7 @@ from gaussnet.simulator import (
     sweep_table_csv,
     region_resolution_check,
     _sample_fault_sets,
+    _uniform,
 )
 from gaussnet.trees import build_tree, parent_child_spec, reach_tables, tree_path
 
@@ -471,7 +472,7 @@ class TestKernel:
         # k=45 is the first order whose flat index 16 v | mask needs uint32
         B, LUT = reach_tables(k)
         size = 512 if k < 45 else 32
-        block = _sample_fault_sets(len(B) - 1, 3, size, np.random.default_rng(k)) + 1
+        block = _sample_fault_sets(len(B) - 1, 3, size, random.Random(k)) + 1
         want = dense_sweep_rounds(B, LUT, block)
         assert np.array_equal(_kernels.sweep_rounds(B, LUT, block), want)
 
@@ -601,11 +602,53 @@ class TestSampled:
     def test_one_block_draws_as_one_call(self):
         # a sample of at most one block draws all its fault sets in one call
         for f in range(4):
-            faults = _sample_fault_sets(node_count(5) - 1, f, 512, np.random.default_rng(9)) + 1
+            faults = _sample_fault_sets(node_count(5) - 1, f, 512, random.Random(9)) + 1
             rounds = _kernels.sweep_rounds(*reach_tables(5), faults)
             want = np.bincount(rounds, minlength=12)
             assert sweep(5, f, sample=512, seed=9).step_counts == tuple(want.tolist()), f
         assert SAMPLE_BLOCK >= 512  # the benchmark's sampled cells
+
+    def test_uniform_refills_rejected_words(self):
+        # words from top on are dropped, the last multiple of 7 a 32-bit
+        # word holds, and only the shortfall is drawn again
+        top = (1 << 32) // 7 * 7
+        words = [top, 2**32 - 1, top - 1, top + 3, 5, top + 1, 6, 40, 99]
+        asked = []
+
+        class Stub:
+            def randbytes(self, size):
+                asked.append(size)
+                take, words[:] = words[:size // 4], words[size // 4:]
+                return np.array(take, dtype="<u4").tobytes()
+
+        got = _uniform(Stub(), 7, 4)
+        assert asked == [16, 12, 4] and words == [99]
+        assert got.tolist() == [(top - 1) % 7, 5, 6, 40 % 7]
+
+    def test_uniform_takes_wide_words_above_2_to_the_32(self):
+        # a 32-bit word holds no multiple of 2^32 + 1, so 64-bit words
+        # are drawn, where a 32-bit limit of 0 would reject every word
+        asked = []
+
+        class Recording(random.Random):
+            def randbytes(self, size):
+                asked.append(size)
+                return super().randbytes(size)
+
+        bound = 2**32 + 1
+        got = _uniform(Recording(3), bound, 8)
+        assert asked == [64] and len(got) == 8
+        assert ((0 <= got) & (got < bound)).all()
+
+    def test_uniform_covers_a_small_bound_evenly(self):
+        counts = np.bincount(_uniform(random.Random(5), 6, 60_000), minlength=6)
+        assert len(counts) == 6 and abs(counts - 10_000).max() < 400, counts
+
+    def test_seed_fixes_the_counts(self):
+        for f in range(4):
+            a, b = (sweep(9, f, sample=5000, seed=11).step_counts for _ in range(2))
+            assert a == b and sum(a) == 5000, f
+        assert sweep(9, 3, sample=5000, seed=12) != sweep(9, 3, sample=5000, seed=11)
 
     def test_peak_is_flat_in_the_sample_size(self):
         # a block of draws at a time, not all 10^6 x 3 int64 draws (24 MB)
@@ -637,6 +680,19 @@ class TestOutputs:
         meta = json.loads(sweep_metadata(stats))
         assert meta["step_convention"] == STEP_CONVENTION
         assert meta["cells"][0]["avg_max_exact"] == "10/3"
+
+    def test_metadata_is_indented_json_dumps(self):
+        # the cells are filled into one template: json.dumps(indent=2) is the oracle
+        stats = {(k, f): sweep(k, f) for k in range(1, 10) for f in range(4)}
+        stats[(5, 3, "sampled")] = sweep(5, 3, sample=100, seed=1)
+        cells = [{"alpha": f"{st.k}+{st.k + 1}i", "faults": st.faults, "runs": st.runs,
+                  "sampled": st.sampled, "avg_max": st.avg_text(),
+                  "avg_max_exact": f"{st.avg_max.numerator}/{st.avg_max.denominator}",
+                  "max_max": st.max_max} for st in stats.values()]
+        for size in (0, 1, len(cells)):
+            want = {"step_convention": STEP_CONVENTION, "engine": "lut", "cells": cells[:size]}
+            got = sweep_metadata(dict(list(stats.items())[:size]))
+            assert got == json.dumps(want, indent=2), size
 
     def test_trace_json(self):
         sim = run(SimConfig(k=2, faults=frozenset({n("1")})))

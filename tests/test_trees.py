@@ -16,6 +16,7 @@ from gaussnet.core import (
     ZERO,
     classify,
     diamond_nodes,
+    direction_name,
     network,
     node_count,
     parse_node,
@@ -532,6 +533,16 @@ class TestExports:
         assert len(payload["parents"]) == 40
         dirs = {row["dir"] for row in payload["parents"]}
         assert dirs <= {"+1", "-1", "+i", "-i"}
+
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_json_is_indented_json_dumps(self, k):
+        # the rows are filled into one template: json.dumps(indent=2) is the oracle
+        for j in (1, 2, 3, 4):
+            t = build_tree(j, k)
+            rows = [{"node": {"x": c.x, "y": c.y}, "parent": {"x": p.x, "y": p.y},
+                     "dir": direction_name(d)}
+                    for c, (p, d) in sorted(t.parent.items(), key=lambda it: (it[0].x, it[0].y))]
+            assert t.to_json() == json.dumps({"j": j, "k": k, "parents": rows}, indent=2)
 
     def test_dot(self):
         dot = build_tree(2, 3).to_dot()
