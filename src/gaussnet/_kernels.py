@@ -1,7 +1,7 @@
 """Sweep kernels.
 
 sweep_rounds, the tests' oracle, which no sweep calls: one flat table lookup
-per (fault set, node).  Inputs, from trees.reach_tables(k):
+per (fault set, node).  Inputs, from the tests' oracle in tests/oracles.py:
 
   B       uint8[n, n]   B[u, v]: trees whose root path to v contains u
   LUT     uint8[n, 16]  LUT[v, mask]: best depth of v avoiding trees in mask

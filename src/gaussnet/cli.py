@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    DIRECTIONS,
     REGIONS,
     ZERO,
     diamond_nodes,
@@ -47,6 +48,7 @@ from .simulator import (
 )
 from .trees import (
     build_tree,
+    parent_rows,
     path_word,
     region_parent_map,
     root_paths,
@@ -135,6 +137,25 @@ def _cmd_route(args) -> int:
     return EXIT_OK
 
 
+def _unspanned(k: int) -> str:
+    """Why some row of parent_rows(k) is not a spanning tree rooted at 0, or "".
+    Each parent step must be a unit's residue, and the row's 2k-th power, taken
+    by pointer doubling, must be 0 everywhere: it is not on a parent cycle."""
+    n, parent = node_count(k), parent_rows(k)
+    unit = np.zeros(n, dtype=bool)
+    unit[[residue(d, k) for d in DIRECTIONS]] = True
+    up, reach, e = parent, np.broadcast_to(np.arange(n), parent.shape), 2 * k
+    while e:  # reach = parent^(2k), from the squarings up = parent^(2^s)
+        reach = np.take_along_axis(up, reach, axis=1) if e & 1 else reach
+        up, e = np.take_along_axis(up, up, axis=1), e >> 1
+    for j in range(4):
+        if not unit[(parent[j, 1:] - np.arange(1, n)) % n].all():
+            return f"tree {j + 1} has a parent step that is not a unit"
+        if reach[j].any():
+            return f"tree {j + 1} has a parent cycle or a path over {2 * k} edges"
+    return ""
+
+
 def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     """Run the invariant suite for one k; returns (name, ok, detail) rows."""
     results: list[tuple[str, bool, str]] = []
@@ -158,9 +179,12 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     results.append(("partition", partition_ok,
                     f"{sum(map(bool, counts[1:]))} quadrant regions"))
 
+    unspanned = _unspanned(k)
+    results.append(("spanning", not unspanned, unspanned or f"{n - 1} edges per tree"))
+    if unspanned:  # the rows below read root_paths
+        return results
+
     trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
-    spanning_ok = all(len(t.parent) == n - 1 for t in trees)
-    results.append(("spanning", spanning_ok, f"{n - 1} edges per tree"))
 
     height = max(trees[0].depth(v) for v in diamond_nodes(k))
     results.append(("height", height == 2 * k, f"height {height}"))

@@ -291,18 +291,10 @@ def parse_node(text: str) -> GaussInt:
     m = _NODE_RE.match(cleaned)
     if not m:
         raise ValueError(f"malformed node literal: {text!r}")
-    if m.group("re1") is not None:
-        x = int(m.group("re1"))
-        im = m.group("im1")
-        y = int(im) if im not in ("+", "-") else int(im + "1")
-    elif m.group("im2") is not None:
-        im = m.group("im2")
-        x = 0
-        y = int(im) if im not in ("", "+", "-") else int((im or "+") + "1")
-    else:
-        x = int(m.group("re2"))
-        y = 0
-    return GaussInt(x, y)
+    if m.group("re2") is not None:
+        return GaussInt(int(m.group("re2")), 0)
+    x, im = int(m.group("re1") or 0), m.group("im1") or m.group("im2")  # im2 may be ""
+    return GaussInt(x, int(im + "1") if im in ("", "+", "-") else int(im))  # i alone is 1i
 
 
 def format_node(v: GaussInt) -> str:
@@ -351,10 +343,6 @@ _EDGE_ROW = row_template([{"x": LEAF, "y": LEAF}] * 2)
 
 # -- the network ------------------------------------------------------------
 
-def _node_key(v: GaussInt) -> tuple[int, int]:
-    return (v.x, v.y)
-
-
 def diamond_nodes(k: int) -> list[GaussInt]:
     """All canonical residues, sorted lexicographically by (x, y)."""
     out = []
@@ -382,6 +370,7 @@ class Network:
         at = np.empty(node_count(k), dtype=np.intp)  # at[r]: residue r's place in x, y
         at[(x - (2 * k + 1) * y) % len(at)] = np.arange(len(at))
         self.nodes: tuple[GaussInt, ...] = tuple(map(GaussInt, x[at].tolist(), y[at].tolist()))
+        self._rank = at  # x, y run in (x, y) order, so at[r] is residue r's rank in it
         self._steps = tuple(residue(d, k) for d in DIRECTIONS)
 
     def __len__(self) -> int:
@@ -404,14 +393,16 @@ class Network:
         return tuple(self.nodes[(r + s) % n] for s in self._steps)
 
     def edges(self) -> list[tuple[GaussInt, GaussInt]]:
-        """Each adjacency once, ordered by the lexicographically smaller endpoint."""
-        out = []
-        for v in self.nodes:
-            for w in self.neighbors(v):
-                if _node_key(v) < _node_key(w):
-                    out.append((v, w))
-        out.sort(key=lambda e: (_node_key(e[0]), _node_key(e[1])))
-        return out
+        """Each adjacency once, ordered by the lexicographically smaller endpoint:
+        the 2n pairs (r, r + s), s the residues of +1 and +i, by one lexsort."""
+        n, rank = len(self.nodes), self._rank
+        a = np.tile(np.arange(n), 2)
+        b = (a + np.repeat([self._steps[0], self._steps[2]], n)) % n  # DIRECTIONS: 1, -1, i, -i
+        lo = np.where(rank[a] < rank[b], a, b)
+        hi = a + b - lo
+        order = np.lexsort((rank[hi], rank[lo]))
+        return list(zip(map(self.nodes.__getitem__, lo[order].tolist()),
+                        map(self.nodes.__getitem__, hi[order].tolist())))
 
     def is_wraparound(self, a: GaussInt, b: GaussInt) -> bool:
         """True when the raw Gaussian difference of the endpoints is not a unit."""

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .core import (
     GaussInt,
     IMAG,
@@ -38,7 +36,7 @@ from .core import (
     residue,
     rho,
 )
-from .trees import _check_tree_k, reach_tables
+from .trees import _check_tree_k, _children
 
 import json
 
@@ -265,6 +263,7 @@ def broadcast(
 
     Returns, for every other node, the set of tree indices that delivered.
     With at most three faults every live node receives at least one copy.
+    Tree j misses the faults' subtrees in it, walked down run()'s child lists.
     """
     _check_tree_k(k)
     faults = tuple(faults)
@@ -278,13 +277,15 @@ def broadcast(
         raise ValueError("at most 3 faults are tolerated")
     if 0 in rel_faults:
         raise ValueError("the source cannot be faulty")
-    B, _ = reach_tables(k)
-    blocked = np.zeros(n, dtype=np.uint8)
-    for f in rel_faults:
-        blocked |= B[f]
+    blocked = [0] * n
+    for j, tree in enumerate(_children(k)):
+        subtrees, bit = [*rel_faults], 1 << j
+        for u in subtrees:  # the loop also reads the children it appends
+            blocked[u] |= bit
+            subtrees += tree[u]
     return {
         nodes[(r + r_s) % n]: set(_DELIVERED[mask])
-        for r, mask in enumerate(blocked.tolist())
+        for r, mask in enumerate(blocked)
         if r
     }
 

@@ -38,12 +38,11 @@ from .core import (
     is_canonical,
     network,
     node_count,
-    per_k,
     region_codes,
     residue,
     row_template,
 )
-from .trees import (fault_pairs, fault_singles, fault_triples, parent_child_spec,
+from .trees import (_children, fault_pairs, fault_singles, fault_triples, parent_child_spec,
                     parent_rows, triple_values)
 
 STEP_CONVENTION = (
@@ -133,20 +132,6 @@ class SimRun:
             if i := residue(v - root, k):  # v's residue relative to the root
                 resolved[v] = NodeState(nodes[i], r, _REGION_ROWS[codes[i]])
         return MappingProxyType(resolved)
-
-
-@per_k
-def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """children[j][i]: the children of node i in tree j+1, by residue.
-
-    Residues ascend within each list; k = 1 has the star trees of parent_rows.
-    """
-    n = node_count(k)
-    out = [[[] for _ in range(n)] for _ in range(4)]
-    for j, row in enumerate(parent_rows(k).tolist()):
-        for i, p in enumerate(row[1:], start=1):
-            out[j][p].append(i)
-    return tuple(tuple(map(tuple, tree)) for tree in out)
 
 
 def run(config: SimConfig) -> SimRun:

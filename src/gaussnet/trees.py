@@ -230,22 +230,18 @@ def root_paths(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @per_k
-def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B, LUT) over the residues: B[u, v] (uint8) is a 4-bit mask, bit j-1
-    for tree j, of the trees whose root path to v contains u; both endpoints
-    count, so B[v, v] == 15.  B is read from root_paths' P, one ancestor row
-    at a time, and LUT is root_paths' own.  Under fault set F node v first
-    receives in round LUT[v, OR_{u in F} B[u, v]], and a faulty v reads 0.
+def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """children[j][i]: the children of node i in tree j+1, by residue.
+
+    Residues ascend within each list; k = 1 has the star trees of parent_rows.
+    simulator.run walks them from the root, router.broadcast from each fault.
     """
-    P, _, LUT = root_paths(k)
-    n = P.shape[2]
-    cols = np.arange(n)
-    B = np.zeros((n, n), dtype=np.uint8)
-    flat = B.reshape(-1)  # a view: a 1-D index is cheaper than B[anc, cols]
-    for j in range(4):
-        for anc in P[j]:
-            flat[anc.astype(np.intp) * n + cols] |= 1 << j
-    return (*_shared(B), LUT)
+    n = node_count(k)
+    out = [[[] for _ in range(n)] for _ in range(4)]
+    for j, row in enumerate(parent_rows(k).tolist()):
+        for i, p in enumerate(row[1:], start=1):
+            out[j][p].append(i)
+    return tuple(tuple(map(tuple, tree)) for tree in out)
 
 
 # -- exhaustive sweep tables: the root-path decomposition ----------------------

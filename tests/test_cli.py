@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from gaussnet import cli
-from gaussnet.cli import EXIT_OK, EXIT_USAGE, build_parser, main
+from gaussnet import cli, core
+from gaussnet.core import node_count, parse_node, residue
+from gaussnet.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main
+from gaussnet.trees import parent_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,14 +123,35 @@ def test_verify_passes(capsys):
 
 
 def test_verify_builds_no_reach_table(monkeypatch, capsys):
-    # verify reads the root paths alone: the n x n table B is never built
-    def refuse(k):
-        raise AssertionError(f"reach_tables({k}) built")
-
-    for module in ("trees", "router"):
-        monkeypatch.setattr(f"gaussnet.{module}.reach_tables", refuse)
+    # verify reads the root paths alone: no table it builds is n x n
+    built = {}
+    monkeypatch.setattr(core, "_TABLES", built)
     assert main(["verify", "--k", "2..6"]) == EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
+    assert sorted(built) == [2, 3, 4, 5, 6]
+    for k, tables in built.items():
+        for value in tables.values():
+            for table in value if isinstance(value, tuple) else (value,):
+                shape = getattr(table, "shape", ())
+                assert shape.count(node_count(k)) < 2, (k, shape)
+
+
+@pytest.mark.parametrize("row, forged, detail", [
+    (0, {"1": "2", "2": "1"}, "tree 1 has a parent cycle or a path over 8 edges"),
+    (2, {"2": "0"}, "tree 3 has a parent step that is not a unit"),
+])
+def test_verify_fails_forged_spanning_row(monkeypatch, capsys, row, forged, detail):
+    # the spanning row reads the parent table itself, and a forgery that fails
+    # it ends k's rows there: the later rows read root_paths, which raises
+    monkeypatch.setattr(core, "_TABLES", {})
+    parent = parent_rows(4).copy()
+    for v, p in forged.items():
+        parent[row, residue(parse_node(v), 4)] = residue(parse_node(p), 4)
+    core._TABLES[4][parent_rows.__wrapped__] = parent
+    assert main(["verify", "--k", "4"]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"k=4 spanning: FAIL ({detail})"
+    assert len(out) == 3 and "FAIL" not in "".join(out[:2])
 
 
 def test_simulate_fault_free(capsys):

@@ -420,6 +420,14 @@ class TestNetworkExports:
         assert keys == sorted(keys)
         assert all(ka < kb for ka, kb in keys)
 
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_edges_match_neighbor_loop(self, k):
+        # the plain oracle: each node's neighbours of larger (x, y), sorted
+        net = network(k)
+        want = [(v, w) for v in net.nodes for w in net.neighbors(v) if (v.x, v.y) < (w.x, w.y)]
+        want.sort(key=lambda e: (e[0].x, e[0].y, e[1].x, e[1].y))
+        assert net.edges() == want
+
     def test_dot_dashed_wraparounds(self):
         net = network(2)
         wrap = sum(1 for a, b in net.edges() if (a - b).l1() != 1)

@@ -111,9 +111,9 @@ def test_per_k_tables_are_pinned():
     found = {f"{p.stem}.{name}" for p in SOURCES for name in per_k_signatures(p.read_text())}
     assert found == {
         "core.network", "core.region_codes",
-        "trees.parent_rows", "trees.root_paths", "trees.reach_tables",
+        "trees.parent_rows", "trees.root_paths", "trees._children",
         "trees.fault_singles", "trees.fault_pairs", "trees.fault_triples",
-        "simulator._children", "router._grid_rows", "router._frames",
+        "router._grid_rows", "router._frames",
     }
 
 
@@ -144,3 +144,9 @@ def test_sweeps_use_no_flat_kernel_or_thread_pool():
              if name == "concurrent.futures"
              or name == "sweep_rounds" and p.name != "_kernels.py"]
     assert found == []
+
+
+def test_no_reach_table_in_the_package():
+    # B, the n x n reach table, is the tests' oracle (tests/oracles.py):
+    # broadcast walks the trees' child lists instead
+    assert [p.name for p in SOURCES if "reach_tables" in p.read_text()] == []

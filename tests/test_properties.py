@@ -19,8 +19,9 @@ from gaussnet.core import (
 )
 from gaussnet.router import broadcast, decide, route
 from gaussnet.simulator import SimConfig, run
-from gaussnet.trees import build_tree, reach_tables, tree_path
+from gaussnet.trees import build_tree, tree_path
 
+from oracles import reach_tables
 from test_core import brute_reduce
 
 coords = st.integers(-10**9, 10**9)

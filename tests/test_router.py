@@ -1,14 +1,19 @@
 """Table-driven routing against the tree-path oracle; broadcast and splitting."""
 
+import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gaussnet import core, router
 from gaussnet.core import (
     GaussInt,
+    ONE,
     ZERO,
     diamond_nodes,
+    network,
     parse_node,
     reduce,
     translate,
@@ -24,9 +29,23 @@ from gaussnet.router import (
 )
 from gaussnet.trees import build_tree, tree_path
 
+from oracles import reach_tables
+
 
 def n(text: str) -> GaussInt:
     return parse_node(text)
+
+
+def broadcast_by_reach(s: GaussInt, faults, k: int, B: np.ndarray) -> dict[GaussInt, set[int]]:
+    """The plain oracle of broadcast: tree j delivers to v unless bit j-1 of
+    OR_f B[f, v] is set, all relative to s; keys in residue order from s."""
+    nodes = network(k).nodes
+    nn, r_s = len(nodes), core.residue(s, k)
+    blocked = np.zeros(nn, dtype=np.uint8)
+    for f in faults:
+        blocked |= B[(core.residue(f, k) - r_s) % nn]
+    trees = [{j + 1 for j in range(4) if not mask >> j & 1} for mask in range(16)]
+    return {nodes[(r + r_s) % nn]: trees[mask] for r, mask in enumerate(blocked.tolist()) if r}
 
 
 class TestStartRoute:
@@ -230,8 +249,6 @@ class TestBroadcast:
 
     @pytest.mark.parametrize("f", (1, 2, 3))
     def test_exhaustive_k2(self, f):
-        import itertools
-
         nodes = [v for v in diamond_nodes(2) if v != ZERO]
         for faults in itertools.combinations(nodes, f):
             out = broadcast(ZERO, faults, 2)
@@ -291,6 +308,39 @@ class TestBroadcast:
                         if rel_faults.isdisjoint(paths[(j, rel_v)])
                     }
                     assert trees == want, f"k={k} s={s} faults={faults} v={v}"
+
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    def test_every_small_fault_set_matches_reach_oracle(self, k):
+        B, _ = reach_tables(k)
+        others = network(k).nodes[1:]
+        for f in range(4):
+            for faults in itertools.combinations(others, f):
+                out = broadcast(ZERO, faults, k)
+                want = broadcast_by_reach(ZERO, faults, k, B)
+                assert out == want and list(out) == list(want), faults
+
+    @pytest.mark.parametrize("k", range(5, 31))
+    def test_seeded_sources_and_faults_match_reach_oracle(self, k):
+        B, _ = reach_tables(k)
+        nodes, rng = network(k).nodes, random.Random(700 + k)
+        for _ in range(200):
+            s, *faults = rng.sample(nodes, 1 + rng.randint(0, 3))
+            out = broadcast(s, faults, k)
+            want = broadcast_by_reach(s, faults, k, B)
+            assert out == want and list(out) == list(want), (s, faults)
+
+    def test_cold_call_builds_no_square_table(self, monkeypatch):
+        # the walk reads the child lists run() shares: nothing n x n (B would
+        # take n^2 = 10.5 MB at k=40)
+        monkeypatch.setattr(core, "_TABLES", {})
+        network(40)
+        tracemalloc.start()
+        try:
+            broadcast(ZERO, [ONE], 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
     def test_validation(self):
         with pytest.raises(ValueError):

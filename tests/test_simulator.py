@@ -41,7 +41,9 @@ from gaussnet.simulator import (
     _sample_fault_sets,
     _uniform,
 )
-from gaussnet.trees import build_tree, parent_child_spec, reach_tables, tree_path
+from gaussnet.trees import build_tree, parent_child_spec, tree_path
+
+from oracles import reach_tables
 
 
 def n(text: str) -> GaussInt:
@@ -280,7 +282,6 @@ class TestLazyResolution:
         monkeypatch.setattr(simulator, "NodeState", counting)
         for name in ("fault_singles", "fault_pairs", "fault_triples", "triple_values"):
             monkeypatch.setattr(simulator, name, no_table)
-        monkeypatch.setattr(trees, "reach_tables", no_table)
         sim = run(SimConfig(k=6, root=n("2+i"), faults=frozenset({n("1"), n("-3i")})))
         assert made == []
         assert len(sim.trees_resolved) == len(made) == len(sim.first_receipt) - 1
@@ -543,11 +544,7 @@ class TestDecomposition:
 
     def test_each_fault_count_builds_only_its_tables(self, monkeypatch):
         # f=0 reads no table, f=1 no pair table, a sampled f=3 cell no
-        # triple correction, and no cell reaches the flat kernel or B
-        def refuse(k):
-            raise AssertionError(f"reach_tables({k}) built")
-
-        monkeypatch.setattr(trees, "reach_tables", refuse)
+        # triple correction, and no cell reaches the flat kernel
         monkeypatch.setattr(_kernels, "sweep_rounds", None)
         for sampling, triples in (({}, {"fault_triples"}), ({"sample": 300, "seed": 2}, set())):
             built = {}

@@ -36,12 +36,13 @@ from gaussnet.trees import (
     parent_child_spec,
     parent_rows,
     path_word,
-    reach_tables,
     region_parent_map,
     root_paths,
     tree_path,
     verify_independence,
 )
+
+from oracles import reach_tables
 
 
 def n(text: str) -> GaussInt:
@@ -52,7 +53,7 @@ def independence_by_reach(k: int) -> tuple[bool, tuple | None]:
     """The plain oracle of verify_independence: an interior node u of v's
     root paths with two or more bits in B[u, v] lies on two of them.  Builds
     the n x n table B (not cached), so it is for small k only."""
-    B, _ = reach_tables.__wrapped__(k)
+    B, _ = reach_tables(k)
     nodes = network(k).nodes
     shared = (B & (B - 1)) != 0  # two or more bits set
     shared[0, :] = False  # the root
