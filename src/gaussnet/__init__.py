@@ -8,12 +8,9 @@ from .core import (
     RegionClass,
     ZERO,
     alpha,
-    bfs_distance,
-    classify,
     diamond_nodes,
     distances_from,
     format_node,
-    neighbors,
     network,
     node_count,
     norm,

@@ -63,13 +63,14 @@ EXIT_USAGE = 2
 
 def _parse_range(text: str) -> list[int]:
     """"2..6" -> [2,3,4,5,6]; "4" -> [4]."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise ValueError(f"malformed range {text!r}: expected N or LO..HI") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -159,6 +159,15 @@ def residue(z: GaussInt, k: int) -> int:
     return (z.x - (2 * k + 1) * z.y) % node_count(k)
 
 
+def node_residue(v: GaussInt, k: int, name: str = "") -> int:
+    """The residue of v, which must be canonical: the one check of a node
+    argument.  name, if given, labels v in the error."""
+    if not is_canonical(v, k):
+        label = f"{name} {v}" if name else v
+        raise ValueError(f"{label} is not canonical for k={k}")
+    return residue(v, k)
+
+
 def reduce(z: GaussInt, k: int) -> GaussInt:
     """Canonical representative of z modulo alpha_k inside the diamond."""
     return network(k).nodes[residue(z, k)]
@@ -175,11 +184,6 @@ def rho(z: GaussInt, t: int = 1) -> GaussInt:
 def translate(z: GaussInt, s: GaussInt, k: int) -> GaussInt:
     """Translation automorphism: (z + s) mod alpha_k.  Bijective on V_k."""
     return reduce(z + s, k)
-
-
-def neighbors(v: GaussInt, k: int) -> list[GaussInt]:
-    """The four neighbours of v, reduced to canonical form, in +1,-1,+i,-i order."""
-    return [reduce(v + d, k) for d in DIRECTIONS]
 
 
 class RegionClass(Enum):
@@ -217,40 +221,6 @@ class Region:
 ORIGIN_REGION = Region(RegionClass.ORIGIN, 0)
 
 
-def _wedge_class(v: GaussInt, k: int) -> RegionClass | None:
-    """Class of v within the first-quadrant wedge {x >= 1, y >= 0, x+y <= k}."""
-    x, y = v.x, v.y
-    if y == 0:
-        if x == 1:
-            return RegionClass.S
-        if 1 < x < k:
-            return RegionClass.B
-        if x == k:
-            return RegionClass.P
-    elif y == 1 and 0 < x < k:
-        return RegionClass.R
-    elif y > 1 and x > 0 and x + y <= k:
-        return RegionClass.Q
-    return None
-
-
-def classify(v: GaussInt, k: int) -> Region:
-    """The unique region containing canonical v; rejects non-canonical input."""
-    if not is_canonical(v, k):
-        raise ValueError(f"{v} is not canonical for k={k}")
-    if v == ZERO:
-        return ORIGIN_REGION
-    # Quadrant q regions are the images of quadrant 1 under rho^(q-1).  This
-    # orientation is pinned by the routing regression tests: under it the
-    # table-driven router reproduces every tree path, and -i lands in S4 with
-    # parent -2i as the parent/child table requires.
-    for q in range(4):
-        cls = _wedge_class(rho(v, -q), k)
-        if cls is not None:
-            return Region(cls, q + 1)
-    raise AssertionError(f"{v} not covered by any region (k={k})")
-
-
 #: The 21 regions by code: 0 the origin, 1 + 5(q - 1) + c the c-th of S, B, R, Q, P in quadrant q
 REGIONS = (ORIGIN_REGION, *(Region(c, q) for q in (1, 2, 3, 4) for c in list(RegionClass)[:5]))
 
@@ -258,8 +228,13 @@ REGIONS = (ORIGIN_REGION, *(Region(c, q) for q in (1, 2, 3, 4) for c in list(Reg
 @per_k
 def region_codes(k: int) -> np.ndarray:
     """The REGIONS code (uint8) of every node, by residue: the quadrant-1 wedge
-    classed from (x, y) as by _wedge_class, quadrant q at its residues times
-    residue(i)^(q-1).  Raises unless the 20 regions partition the non-root residues."""
+    {x >= 1, y >= 0, x + y <= k} classed from (x, y) as RegionClass says,
+    quadrant q at its residues times residue(i)^(q-1).  Raises unless the 20
+    regions partition the non-root residues."""
+    # Quadrant q regions are the images of quadrant 1 under rho^(q-1).  This
+    # orientation is pinned by the routing regression tests: under it the
+    # table-driven router reproduces every tree path, and -i lands in S4 with
+    # parent -2i as the parent/child table requires.
     n, turn = node_count(k), residue(IMAG, k)
     x, y = np.mgrid[1:k + 1, 0:k]
     x, y = x[x + y <= k], y[x + y <= k]
@@ -384,9 +359,7 @@ class Network:
 
     def index(self, v: GaussInt) -> int:
         """The index of canonical v, which is its residue."""
-        if v not in self:
-            raise ValueError(f"{v} is not canonical for k={self.k}")
-        return residue(v, self.k)
+        return node_residue(v, self.k)
 
     def neighbors(self, v: GaussInt) -> tuple[GaussInt, ...]:
         r, n = self.index(v), len(self.nodes)
@@ -430,15 +403,6 @@ class Network:
 def network(k: int) -> Network:
     """Shared immutable Network instance for k."""
     return Network(k)
-
-
-def bfs_distance(u: GaussInt, v: GaussInt, k: int) -> int:
-    """Graph distance between canonical u and v."""
-    if not is_canonical(u, k) or not is_canonical(v, k):
-        raise ValueError("nodes must be canonical")
-    if u == v:
-        return 0
-    return distances_from(u, k)[v]
 
 
 def distances_from(u: GaussInt, k: int) -> dict[GaussInt, int]:

@@ -24,12 +24,11 @@ from .core import (
     GaussInt,
     IMAG,
     ONE,
-    ZERO,
-    classify,
+    REGIONS,
     direction_name,
     format_node,
-    is_canonical,
     network,
+    node_residue,
     per_k,
     reduce,
     region_codes,
@@ -182,9 +181,10 @@ def _grid_cell(
         raise RoutingError("transient node coincides with the source")
     cell = row[col]
     if cell is None:
+        codes = region_codes(k)
         raise RoutingError(
-            f"unreachable decision cell: transient {classify(t, k)} "
-            f"for destination {classify(d, k)}"
+            f"unreachable decision cell: transient {REGIONS[codes[residue(t, k)]]} "
+            f"for destination {REGIONS[codes[residue(d, k)]]}"
         )
     return cell(t, d, k) if callable(cell) else cell
 
@@ -201,16 +201,14 @@ def start_route(s: GaussInt, d: GaussInt, j: int, k: int) -> GaussInt:
 def decide(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
     """The hop route() takes at transient t toward d, both relative to the source."""
     _check_tree_k(k)
-    for name, v in (("transient", t), ("destination", d)):
-        if not is_canonical(v, k):
-            raise ValueError(f"{name} {v} is not canonical for k={k}")
-    if t == d:
+    r_t, r_d = node_residue(t, k, "transient"), node_residue(d, k, "destination")
+    if r_t == r_d:
         return CONSUME
-    if d == ZERO:
+    if not r_d:
         raise ValueError("destination coincides with the source")
     nodes = network(k).nodes
-    m, _, unturn, r_d, col = _frames(k)[residue(d, k)]
-    r_t = residue(t, k) * unturn % len(nodes)
+    m, _, unturn, r_d, col = _frames(k)[r_d]  # r_d, then r_t, in d's quadrant-1 frame
+    r_t = r_t * unturn % len(nodes)
     direction, tree = _grid_cell(_grid_rows(k)[r_t], col, nodes[r_t], nodes[r_d], k)
     return RoutingDecision(direction=rho(direction, m), tree=(tree - 1 + m) % 4 + 1)
 
@@ -226,13 +224,11 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
     s (a sum) once.
     """
     _check_tree_k(k)
-    for name, v in (("source", s), ("destination", d)):
-        if not is_canonical(v, k):
-            raise ValueError(f"{name} {v} is not canonical for k={k}")
+    r_s, r_d = node_residue(s, k, "source"), node_residue(d, k, "destination")
     first = start_route(s, d, j, k)
     nodes, rows = network(k).nodes, _grid_rows(k)
-    n, r_s = len(nodes), residue(s, k)
-    m, turn, unturn, r_d, col = _frames(k)[(residue(d, k) - r_s) % n]
+    n = len(nodes)
+    m, turn, unturn, r_d, col = _frames(k)[(r_d - r_s) % n]
     d_frame, j_frame, stride = nodes[r_d], (j - 1 - m) % 4 + 1, 2 * k + 1
     path = [0, residue(first, k) * unturn % n]
     while path[-1] != r_d:
@@ -266,13 +262,10 @@ def broadcast(
     Tree j misses the faults' subtrees in it, walked down run()'s child lists.
     """
     _check_tree_k(k)
-    faults = tuple(faults)
-    for v in (s, *faults):
-        if not is_canonical(v, k):
-            raise ValueError(f"node {v} is not canonical for k={k}")
+    r_s, *r_faults = (node_residue(v, k, "node") for v in (s, *faults))
     nodes = network(k).nodes
-    n, r_s = len(nodes), residue(s, k)
-    rel_faults = {(residue(f, k) - r_s) % n for f in faults}
+    n = len(nodes)
+    rel_faults = {(r - r_s) % n for r in r_faults}
     if len(rel_faults) > 3:
         raise ValueError("at most 3 faults are tolerated")
     if 0 in rel_faults:

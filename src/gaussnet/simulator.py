@@ -35,9 +35,9 @@ from .core import (
     ZERO,
     format_node,
     indented_json,
-    is_canonical,
     network,
     node_count,
+    node_residue,
     region_codes,
     residue,
     row_template,
@@ -74,13 +74,11 @@ class SimConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not is_canonical(self.root, self.k):
-            raise ValueError(f"root {self.root} is not canonical for k={self.k}")
+        node_residue(self.root, self.k, "root")
         faults = frozenset(self.faults)
         object.__setattr__(self, "faults", faults)
         for f in faults:
-            if not is_canonical(f, self.k):
-                raise ValueError(f"fault {f} is not canonical for k={self.k}")
+            node_residue(f, self.k, "fault")
         if self.root in faults:
             raise ValueError("the root cannot be faulty")
         if len(faults) > MAX_FAULTS:

@@ -31,6 +31,7 @@ from .core import (
     is_canonical,
     network,
     node_count,
+    node_residue,
     per_k,
     reduce,
     region_codes,
@@ -124,7 +125,7 @@ class SpanningTree:
 
     def depth(self, v: GaussInt) -> int:
         """v's depth in this tree, read from root_paths' depth table."""
-        return int(root_paths(self.k)[1][_node_residue(v, self.k), self.index - 1])
+        return int(root_paths(self.k)[1][node_residue(v, self.k), self.index - 1])
 
     def to_json(self) -> str:
         name = {d: json.dumps(direction_name(d)) for d in DIRECTIONS}
@@ -188,15 +189,9 @@ def build_tree(j: int, k: int) -> SpanningTree:
     return SpanningTree(index=j, k=k, root=ZERO, parent=view)
 
 
-def _node_residue(v: GaussInt, k: int) -> int:
-    if not is_canonical(v, k):
-        raise ValueError(f"{v} is not canonical for k={k}")
-    return residue(v, k)
-
-
 def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
     """The unique root..v path, root first, read from root_paths' P."""
-    k, j, i = tree.k, tree.index - 1, _node_residue(v, tree.k)
+    k, j, i = tree.k, tree.index - 1, node_residue(v, tree.k)
     P, depth, _ = root_paths(k)
     nodes = network(k).nodes
     return [nodes[u] for u in P[j, depth[i, j]::-1, i].tolist()]
@@ -398,9 +393,7 @@ def path_word(v: GaussInt, k: int) -> PathWord:
     tree height 2k alongside the path to -1.
     """
     _check_tree_k(k)
-    if not is_canonical(v, k):
-        raise ValueError(f"{v} is not canonical for k={k}")
-    if v == ZERO:
+    if not node_residue(v, k):  # residue 0 is the root
         raise ValueError("the root has no path word")
     c, d = v.x, v.y
     R, U, D = ONE, IMAG, -IMAG

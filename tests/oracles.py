@@ -1,8 +1,21 @@
-"""Plain oracles the tests share: tables too large or too slow for the package."""
+"""Plain oracles the tests share: tables too large or too slow for the package,
+and the per-node forms of quantities the package reads from per-k tables."""
 
 import numpy as np
 
 from gaussnet import trees
+from gaussnet.core import (
+    DIRECTIONS,
+    ORIGIN_REGION,
+    ZERO,
+    GaussInt,
+    Region,
+    RegionClass,
+    distances_from,
+    is_canonical,
+    reduce,
+    rho,
+)
 
 
 def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,3 +37,49 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
         for anc in P[j]:
             flat[anc.astype(np.intp) * n + cols] |= 1 << j
     return (*trees._shared(B), LUT)
+
+
+def neighbors(v: GaussInt, k: int) -> list[GaussInt]:
+    """The four neighbours of v, reduced to canonical form, in +1,-1,+i,-i order."""
+    return [reduce(v + d, k) for d in DIRECTIONS]
+
+
+def bfs_distance(u: GaussInt, v: GaussInt, k: int) -> int:
+    """Graph distance between canonical u and v."""
+    if not is_canonical(u, k) or not is_canonical(v, k):
+        raise ValueError("nodes must be canonical")
+    if u == v:
+        return 0
+    return distances_from(u, k)[v]
+
+
+def _wedge_class(v: GaussInt, k: int) -> RegionClass | None:
+    """Class of v within the first-quadrant wedge {x >= 1, y >= 0, x+y <= k}."""
+    x, y = v.x, v.y
+    if y == 0:
+        if x == 1:
+            return RegionClass.S
+        if 1 < x < k:
+            return RegionClass.B
+        if x == k:
+            return RegionClass.P
+    elif y == 1 and 0 < x < k:
+        return RegionClass.R
+    elif y > 1 and x > 0 and x + y <= k:
+        return RegionClass.Q
+    return None
+
+
+def classify(v: GaussInt, k: int) -> Region:
+    """The unique region containing canonical v, one node at a time, by
+    rotating v into quadrant 1 (core.region_codes is the table it checks);
+    rejects non-canonical input."""
+    if not is_canonical(v, k):
+        raise ValueError(f"{v} is not canonical for k={k}")
+    if v == ZERO:
+        return ORIGIN_REGION
+    for q in range(4):
+        cls = _wedge_class(rho(v, -q), k)
+        if cls is not None:
+            return Region(cls, q + 1)
+    raise AssertionError(f"{v} not covered by any region (k={k})")

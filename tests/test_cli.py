@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gaussnet import cli, core
+from gaussnet import cli, core, router, simulator, trees
 from gaussnet.core import node_count, parse_node, residue
 from gaussnet.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, build_parser, main
 from gaussnet.trees import parent_rows
@@ -109,6 +109,11 @@ def test_route_bad_literal():
     assert main(["route", "--k", "3", "--s", "zzz", "--d", "1"]) == EXIT_USAGE
 
 
+def test_route_non_canonical_source(capsys):
+    assert main(["route", "--k", "3", "--s", "9", "--d", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: source 9 is not canonical for k=3\n"
+
+
 def test_route_same_endpoints():
     assert main(["route", "--k", "3", "--s", "1", "--d", "1"]) == EXIT_USAGE
 
@@ -152,6 +157,74 @@ def test_verify_fails_forged_spanning_row(monkeypatch, capsys, row, forged, deta
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"k=4 spanning: FAIL ({detail})"
     assert len(out) == 3 and "FAIL" not in "".join(out[:2])
+
+
+def _forged_table(builder, forge):
+    """Install forge(table) as k=4's table of the per_k builder."""
+    def install(monkeypatch):
+        core._TABLES[4][builder.__wrapped__] = forge(builder(4))
+    return install
+
+
+def _forged_function(module, name, forge):
+    """Replace module.name by forge(module.name)."""
+    def install(monkeypatch):
+        monkeypatch.setattr(module, name, forge(getattr(module, name)))
+    return install
+
+
+def _deeper_node_1(tables):
+    P, depth, LUT = tables
+    depth = depth.copy()
+    depth[1, 0] = 9  # node 1, whose tree-1 depth is 1
+    return P, depth, LUT
+
+
+def _tree_2_through_tree_1(tables):
+    # the first node two deep in trees 1 and 2 gets tree 1's parent in tree 2's path
+    P, depth, LUT = tables
+    r = int(((depth[:, 0] >= 2) & (depth[:, 1] >= 2)).argmax())
+    P = P.copy()
+    P[1, 1, r] = P[0, 1, r]
+    return P, depth, LUT
+
+
+VERIFY_ROWS = ("topology", "partition", "spanning", "height", "rotation", "path-words",
+               "region-table", "independence", "router-oracle", "region-resolution",
+               "fault-free-run")
+
+
+@pytest.mark.parametrize("row, install, detail", [
+    ("height", _forged_table(trees.root_paths, _deeper_node_1), "height 9"),
+    ("rotation", _forged_table(trees.parent_rows, lambda rows: rows[[0, 0, 2, 3]]),
+     "tree j = rho^(j-1) of tree 1"),
+    ("path-words", _forged_function(cli, "path_word", lambda real: lambda v, k: real(-v, k)),
+     "word table matches tree 1"),
+    ("region-table", _forged_function(
+        trees, "parent_child_spec", lambda real: lambda reg, j: real(reg, j % 4 + 1)),
+     "region rows rebuild all trees"),
+    ("independence", _forged_table(trees.root_paths, _tree_2_through_tree_1),
+     "(GaussInt(2, 0), 1, 2, GaussInt(1, 0))"),
+    ("router-oracle", _forged_table(router._grid_rows, lambda rows: (None,) * len(rows)),
+     "routes equal tree paths"),
+    ("region-resolution", _forged_function(simulator, "_REGION_ROWS", lambda rows: (
+        rows[0], *({j: spec[j % 4 + 1] for j in spec} for spec in rows[1:]))),
+     "simulated rows"),
+    ("fault-free-run", _forged_table(
+        trees._children, lambda children: (children[0], *[((),) * len(children[0])] * 3)),
+     "9 rounds, 124 messages"),
+])
+def test_verify_fails_each_forged_row(monkeypatch, capsys, row, install, detail):
+    # each row after spanning has a forgery of one table or function that
+    # fails it, and no row before it: the row checks something of its own
+    monkeypatch.setattr(core, "_TABLES", {4: {}})
+    install(monkeypatch)
+    assert main(["verify", "--k", "4"]) == EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    out, at = captured.out.splitlines(), VERIFY_ROWS.index(row)
+    assert captured.err == ""
+    assert [line.split(":")[1][:5] for line in out[:at]] == [" PASS"] * at
+    assert out[at] == f"k=4 {row}: FAIL ({detail})"
 
 
 def test_simulate_fault_free(capsys):
@@ -233,6 +306,19 @@ def test_bad_input_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert captured.out == ""  # no report, no progress: it failed before any work
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--k", "x"], "'x'"),
+    (["verify", "--k", "4.."], "'4..'"),
+    (["sweep", "--k", "2", "--faults", "1..y", "--avg-out", "a.csv", "--max-out", "m.csv"],
+     "'1..y'"),
+])
+def test_malformed_range_is_usage_error(argv, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: malformed range {text}: expected N or LO..HI\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,13 +22,10 @@ from gaussnet.core import (
     TABLE_BUDGET,
     ZERO,
     alpha,
-    bfs_distance,
-    classify,
     diamond_nodes,
     distances_from,
     format_node,
     indented_json,
-    neighbors,
     network,
     node_count,
     norm,
@@ -41,9 +38,11 @@ from gaussnet.core import (
     row_template,
     translate,
 )
-from gaussnet.router import route
+from gaussnet.router import broadcast, decide, route, secure_split
 from gaussnet.simulator import SimConfig, run, sweep
-from gaussnet.trees import build_tree, fault_singles
+from gaussnet.trees import build_tree, fault_singles, path_word, tree_path
+
+from oracles import bfs_distance, classify, neighbors
 
 import json
 
@@ -189,6 +188,33 @@ class TestReduce:
     def test_residue_rejects_bad_k(self):
         with pytest.raises(ValueError):
             residue(GaussInt(1, 1), 0)
+
+
+# Every node argument is checked by core.node_residue; each caller's text,
+# with or without its label, as the package has always printed it.
+@pytest.mark.parametrize("call, text", [
+    (lambda: network(2).index(parse_node("5")), "5 is not canonical for k=2"),
+    (lambda: tree_path(build_tree(1, 2), parse_node("-2+2i")),
+     "-2+2i is not canonical for k=2"),
+    (lambda: build_tree(3, 2).depth(parse_node("3i")), "3i is not canonical for k=2"),
+    (lambda: path_word(parse_node("5"), 2), "5 is not canonical for k=2"),
+    (lambda: decide(parse_node("5"), ONE, 2), "transient 5 is not canonical for k=2"),
+    (lambda: decide(ONE, parse_node("-3"), 2), "destination -3 is not canonical for k=2"),
+    (lambda: route(parse_node("5"), ONE, 1, 2), "source 5 is not canonical for k=2"),
+    (lambda: route(ONE, parse_node("2+i"), 1, 2), "destination 2+i is not canonical for k=2"),
+    (lambda: secure_split(ZERO, parse_node("5"), 2, b"abcd"),
+     "destination 5 is not canonical for k=2"),
+    (lambda: broadcast(parse_node("5"), (), 2), "node 5 is not canonical for k=2"),
+    (lambda: broadcast(ZERO, (ONE, -ONE, parse_node("1-2i")), 2),
+     "node 1-2i is not canonical for k=2"),
+    (lambda: SimConfig(k=2, root=parse_node("5")), "root 5 is not canonical for k=2"),
+    (lambda: SimConfig(k=2, faults=frozenset({parse_node("-5i")})),
+     "fault -5i is not canonical for k=2"),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_non_canonical_node_message(call, text):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == text
 
 
 class TestNeighbors:

@@ -150,3 +150,70 @@ def test_no_reach_table_in_the_package():
     # B, the n x n reach table, is the tests' oracle (tests/oracles.py):
     # broadcast walks the trees' child lists instead
     assert [p.name for p in SOURCES if "reach_tables" in p.read_text()] == []
+
+
+def module_names(source: str) -> set[str]:
+    """The names a module binds at its top level or reads bare (not as an
+    attribute), and the names it imports."""
+    tree = ast.parse(source)
+    found = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.asname or a.name for a in node.names}
+    return found
+
+
+def test_detects_module_names():
+    source = ("from .core import neighbors as nb\ndef f(): pass\n"
+              "class C:\n    def neighbors(self): pass\nx = net.neighbors(y)\n")
+    assert module_names(source) == {"nb", "f", "C", "x", "net", "y"}
+
+
+def test_one_node_query_per_quantity():
+    # region_codes, distances_from and Network.neighbors are the package's
+    # forms; the per-node classifier, the module-level neighbours and
+    # bfs_distance are the tests' oracles (tests/oracles.py)
+    found = []
+    for p in SOURCES:
+        text = p.read_text()
+        names = module_names(text) | (named(text) - {"neighbors"})  # Network.neighbors stays
+        found += [f"{p.name}: {name}" for name in sorted(names)
+                  if name in ("classify", "_wedge_class", "bfs_distance", "neighbors")]
+    assert found == []
+
+
+def raisers(source: str, text: str) -> list[str]:
+    """The functions (methods as Class.name) with a raise whose string
+    constants, f-string parts included, contain text."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                       and text in c.value
+                       for r in ast.walk(child) if isinstance(r, ast.Raise)
+                       for c in ast.walk(r)):
+                    found.append(prefix + child.name)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_raisers():
+    source = ("def a(v):\n    raise ValueError(f'{v} is bad')\n"
+              "class C:\n    def b(self):\n        raise KeyError('is bad')\n"
+              "    def c(self):\n        return 'is bad'\n")
+    assert raisers(source, "is bad") == ["a", "C.b"]
+
+
+def test_one_node_check():
+    # every node argument is checked, and its error worded, in one place
+    found = [f"{p.stem}.{name}"
+             for p in SOURCES for name in raisers(p.read_text(), "is not canonical")]
+    assert found == ["core.node_residue"]

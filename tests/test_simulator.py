@@ -17,7 +17,6 @@ from gaussnet import _kernels, core, simulator, trees
 from gaussnet.core import (
     GaussInt,
     ZERO,
-    classify,
     diamond_nodes,
     network,
     node_count,
@@ -43,7 +42,7 @@ from gaussnet.simulator import (
 )
 from gaussnet.trees import build_tree, parent_child_spec, tree_path
 
-from oracles import reach_tables
+from oracles import classify, reach_tables
 
 
 def n(text: str) -> GaussInt:
