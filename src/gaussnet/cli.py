@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DIRECTIONS,
     REGIONS,
     ZERO,
     diamond_nodes,
@@ -48,11 +47,10 @@ from .simulator import (
 )
 from .trees import (
     build_tree,
-    parent_rows,
     path_word,
-    region_parent_map,
     root_paths,
     tree_path,
+    unspanned,
     verify_independence,
 )
 
@@ -138,25 +136,6 @@ def _cmd_route(args) -> int:
     return EXIT_OK
 
 
-def _unspanned(k: int) -> str:
-    """Why some row of parent_rows(k) is not a spanning tree rooted at 0, or "".
-    Each parent step must be a unit's residue, and the row's 2k-th power, taken
-    by pointer doubling, must be 0 everywhere: it is not on a parent cycle."""
-    n, parent = node_count(k), parent_rows(k)
-    unit = np.zeros(n, dtype=bool)
-    unit[[residue(d, k) for d in DIRECTIONS]] = True
-    up, reach, e = parent, np.broadcast_to(np.arange(n), parent.shape), 2 * k
-    while e:  # reach = parent^(2k), from the squarings up = parent^(2^s)
-        reach = np.take_along_axis(up, reach, axis=1) if e & 1 else reach
-        up, e = np.take_along_axis(up, up, axis=1), e >> 1
-    for j in range(4):
-        if not unit[(parent[j, 1:] - np.arange(1, n)) % n].all():
-            return f"tree {j + 1} has a parent step that is not a unit"
-        if reach[j].any():
-            return f"tree {j + 1} has a parent cycle or a path over {2 * k} edges"
-    return ""
-
-
 def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     """Run the invariant suite for one k; returns (name, ok, detail) rows."""
     results: list[tuple[str, bool, str]] = []
@@ -180,14 +159,15 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     results.append(("partition", partition_ok,
                     f"{sum(map(bool, counts[1:]))} quadrant regions"))
 
-    unspanned = _unspanned(k)
-    results.append(("spanning", not unspanned, unspanned or f"{n - 1} edges per tree"))
-    if unspanned:  # the rows below read root_paths
+    reason = unspanned(k)
+    results.append(("spanning", not reason, reason or f"{n - 1} edges per tree"))
+    if reason:  # the rows below read root_paths, which raises it
         return results
 
     trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
+    P, depth, _ = root_paths(k)
 
-    height = max(trees[0].depth(v) for v in diamond_nodes(k))
+    height = int(depth.max())
     results.append(("height", height == 2 * k, f"height {height}"))
 
     edges1 = trees[0].edges()
@@ -197,7 +177,6 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     )
     results.append(("rotation", rot_ok, "tree j = rho^(j-1) of tree 1"))
 
-    P, depth, _ = root_paths(k)
     words_ok = all(  # each word walked from the root as sums of its steps' residues
         [w % n for w in accumulate(
             sum(([residue(d, k)] * m for d, m in path_word(v, k).steps), []), initial=0)]
@@ -206,13 +185,12 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     )
     results.append(("path-words", words_ok, "word table matches tree 1"))
 
-    table_ok = all(
-        region_parent_map(j, k) == dict(trees[j - 1].parent.items()) for j in (1, 2, 3, 4)
-    )
-    results.append(("region-table", table_ok, "region rows rebuild all trees"))
-
     indep_ok, witness = verify_independence(k)
-    results.append(("independence", indep_ok, str(witness) if witness else "all pairs"))
+    detail = "all pairs"
+    if witness:  # the first node with a shared interior node, two trees, that node
+        v, j, j2, u = witness
+        detail = f"{format_node(v)}: trees {j} and {j2} share {format_node(u)}"
+    results.append(("independence", indep_ok, detail))
 
     router_ok = True
     try:

@@ -64,12 +64,11 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run: diameter parameter, root, fault set, and a safety round cap."""
+    """One run: diameter parameter, root and fault set."""
 
     k: int
     root: GaussInt = ZERO
     faults: frozenset[GaussInt] = frozenset()
-    max_rounds: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -83,8 +82,6 @@ class SimConfig:
             raise ValueError("the root cannot be faulty")
         if len(faults) > MAX_FAULTS:
             raise ValueError(f"at most {MAX_FAULTS} faults are supported")
-        if self.max_rounds is None:
-            object.__setattr__(self, "max_rounds", 4 * self.k + 4)
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,8 @@ def run(config: SimConfig) -> SimRun:
 
     The rounds run on residues in the root's frame (root at 0); each
     reached node is translated to its absolute address once, at the end,
-    by adding the root's residue.
+    by adding the root's residue.  A run past round 4k + 4 raises
+    SimulationError: no trees of height 2k take that long.
     """
     k = config.k
     nodes = network(k).nodes
@@ -149,11 +147,8 @@ def run(config: SimConfig) -> SimRun:
     rnd = 0
     while any(frontiers):
         rnd += 1
-        # k = 1 builds no trees: its one round of unit edges is never capped
-        if k > 1 and rnd > config.max_rounds:
-            raise SimulationError(
-                f"exceeded max_rounds={config.max_rounds} at round {rnd}"
-            )
+        if rnd > 4 * k + 4:
+            raise SimulationError(f"exceeded {4 * k + 4} rounds (4k + 4) at round {rnd}")
         for j in range(4):
             tree, nxt = children[j], []
             for u in frontiers[j]:
@@ -187,13 +182,19 @@ def reachability_report(sim: SimRun) -> dict[GaussInt, bool]:
 
 
 def region_resolution_check(k: int) -> bool:
-    """Fault-free run resolves exactly the constructive parent maps."""
+    """A fault-free run resolves, at every node and in all four trees, the
+    parent port and the child ports of parent_rows: each child port leads to
+    a node whose parent is this one, and there are as many as it has children."""
     sim = run(SimConfig(k=k))
-    want = parent_rows(k)
-    for j in (1, 2, 3, 4):
-        for v, state in sim.trees_resolved.items():
-            parent_dir, _ = state.rows[j]
-            if residue(v + parent_dir, k) != want[j - 1, residue(v, k)]:
+    parent = parent_rows(k)
+    kids = [np.bincount(row[1:], minlength=len(row)).tolist() for row in parent]
+    rows = parent.tolist()
+    for v, state in sim.trees_resolved.items():
+        i = residue(v, k)
+        for j in (1, 2, 3, 4):
+            (parent_dir, child_dirs), row = state.rows[j], rows[j - 1]
+            if (row[i] != residue(v + parent_dir, k) or len(child_dirs) != kids[j - 1][i]
+                    or any(row[residue(v + d, k)] != i for d in child_dirs)):
                 return False
     return True
 

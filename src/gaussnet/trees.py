@@ -197,6 +197,26 @@ def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
     return [nodes[u] for u in P[j, depth[i, j]::-1, i].tolist()]
 
 
+def unspanned(k: int) -> str:
+    """Why some row of parent_rows(k) is not a spanning tree rooted at 0 of
+    height at most 2k, or "".  Each parent step must be a unit's residue, and
+    the row's 2k-th power, taken by pointer doubling, must be 0 everywhere: no
+    node is on a parent cycle or more than 2k edges from the root."""
+    n, parent = node_count(k), parent_rows(k)
+    unit = np.zeros(n, dtype=bool)
+    unit[[residue(d, k) for d in DIRECTIONS]] = True
+    up, reach, e = parent, np.broadcast_to(np.arange(n), parent.shape), 2 * k
+    while e:  # reach = parent^(2k), from the squarings up = parent^(2^s)
+        reach = np.take_along_axis(up, reach, axis=1) if e & 1 else reach
+        up, e = np.take_along_axis(up, up, axis=1), e >> 1
+    for j in range(4):
+        if not unit[(parent[j, 1:] - np.arange(1, n)) % n].all():
+            return f"tree {j + 1} has a parent step that is not a unit"
+        if reach[j].any():
+            return f"tree {j + 1} has a parent cycle or a path over {2 * k} edges"
+    return ""
+
+
 @per_k
 def root_paths(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(P, depth, LUT), the one walk up the trees of parent_rows (stars at
@@ -205,16 +225,15 @@ def root_paths(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P[j, s, v] is v's s-th ancestor in tree j+1, the root 0 from s =
     depth[v, j] on; uint16 while n < 65,536.  LUT[v, mask] (uint8) is the
     smallest depth of v among the trees not in mask, or 0 when all four are
-    blocked; the root's row is 0.  Raises if a tree has a parent cycle.
+    blocked; the root's row is 0.  Raises unspanned(k)'s reason, if any.
     """
+    if reason := unspanned(k):
+        raise AssertionError(reason)
     n, parent = node_count(k), parent_rows(k)
     P = np.empty((4, 2 * k + 1, n), dtype=np.promote_types(np.min_scalar_type(n - 1), np.uint16))
     P[:, 0] = np.arange(n)
     for s in range(2 * k):
         P[:, s + 1] = np.take_along_axis(parent, P[:, s], axis=1)
-    cycles = np.take_along_axis(parent, P[:, -1], axis=1).any(axis=1)
-    if cycles.any():
-        raise AssertionError(f"tree {cycles.argmax() + 1} (k={k}) has a parent cycle")
     # C order, or LUT below comes out F-ordered and the flat kernel's ravel copies it
     depth = np.ascontiguousarray((P != 0).sum(axis=1, dtype=np.uint8).T)
     unreached = np.iinfo(np.uint8).max
@@ -477,14 +496,6 @@ def parent_child_spec(
 
 #: Tree-1 parent direction of each REGIONS code, as an index into DIRECTIONS
 _PARENT_DIR = np.array([0, *(DIRECTIONS.index(parent_child_spec(r, 1)[0]) for r in REGIONS[1:])])
-
-
-def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
-    """Parent pointers of tree j materialised from the region table alone."""
-    _check_tree_k(k)
-    up = [None, *(parent_child_spec(reg, j)[0] for reg in REGIONS[1:])]  # by region code
-    return {v: (reduce(v + up[c], k), up[c])
-            for v, c in zip(network(k).nodes[1:], region_codes(k)[1:].tolist())}
 
 
 def verify_independence(k: int) -> tuple[bool, tuple | None]:

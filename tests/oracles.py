@@ -7,13 +7,16 @@ from gaussnet import trees
 from gaussnet.core import (
     DIRECTIONS,
     ORIGIN_REGION,
+    REGIONS,
     ZERO,
     GaussInt,
     Region,
     RegionClass,
     distances_from,
     is_canonical,
+    network,
     reduce,
+    region_codes,
     rho,
 )
 
@@ -37,6 +40,14 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
         for anc in P[j]:
             flat[anc.astype(np.intp) * n + cols] |= 1 << j
     return (*trees._shared(B), LUT)
+
+
+def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:
+    """Parent pointers of tree j materialised from the region table alone."""
+    trees._check_tree_k(k)
+    up = [None, *(trees.parent_child_spec(reg, j)[0] for reg in REGIONS[1:])]  # by region code
+    return {v: (reduce(v + up[c], k), up[c])
+            for v, c in zip(network(k).nodes[1:], region_codes(k)[1:].tolist())}
 
 
 def neighbors(v: GaussInt, k: int) -> list[GaussInt]:

@@ -27,10 +27,11 @@ from gaussnet.trees import (
     build_tree,
     expand_word,
     path_word,
-    region_parent_map,
     tree_path,
     verify_independence,
 )
+
+from oracles import region_parent_map
 
 # Reference step tables: average of per-run maxima (3 decimals) and the
 # maximum of maxima, per fault count, for alpha = 1+2i .. 9+10i.

@@ -147,7 +147,8 @@ def test_verify_builds_no_reach_table(monkeypatch, capsys):
 ])
 def test_verify_fails_forged_spanning_row(monkeypatch, capsys, row, forged, detail):
     # the spanning row reads the parent table itself, and a forgery that fails
-    # it ends k's rows there: the later rows read root_paths, which raises
+    # it ends k's rows there: the later rows read root_paths, which raises the
+    # same reason
     monkeypatch.setattr(core, "_TABLES", {})
     parent = parent_rows(4).copy()
     for v, p in forged.items():
@@ -157,6 +158,24 @@ def test_verify_fails_forged_spanning_row(monkeypatch, capsys, row, forged, deta
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"k=4 spanning: FAIL ({detail})"
     assert len(out) == 3 and "FAIL" not in "".join(out[:2])
+    with pytest.raises(AssertionError) as raised:
+        trees.root_paths(4)
+    assert str(raised.value) == detail
+
+
+def test_root_paths_and_spanning_row_refuse_a_path_over_2k_edges(monkeypatch, capsys):
+    # residue 6 (-1-i, depth 5) re-hung under residue 7 (-i, depth 6) by a
+    # unit step: no cycle, but a path of 2k + 1 = 7 edges
+    monkeypatch.setattr(core, "_TABLES", {})
+    parent = parent_rows(3).copy()
+    parent[0, 6] = 7
+    core._TABLES[3][parent_rows.__wrapped__] = parent
+    detail = "tree 1 has a parent cycle or a path over 6 edges"
+    with pytest.raises(AssertionError) as raised:
+        trees.root_paths(3)
+    assert str(raised.value) == detail
+    assert main(["verify", "--k", "3"]) == EXIT_VERIFY_FAILED
+    assert capsys.readouterr().out.splitlines()[-1] == f"k=3 spanning: FAIL ({detail})"
 
 
 def _forged_table(builder, forge):
@@ -189,9 +208,16 @@ def _tree_2_through_tree_1(tables):
     return P, depth, LUT
 
 
+def _dropped_child_port(rows):
+    # region (B, 1)'s tree-1 row loses its +1 child port, as if _BASE_TABLE had lost it
+    code = core.REGIONS.index(core.Region(core.RegionClass.B, 1))
+    parent_dir, child_dirs = rows[code][1]
+    forged = {**rows[code], 1: (parent_dir, child_dirs - {core.ONE})}
+    return (*rows[:code], forged, *rows[code + 1:])
+
+
 VERIFY_ROWS = ("topology", "partition", "spanning", "height", "rotation", "path-words",
-               "region-table", "independence", "router-oracle", "region-resolution",
-               "fault-free-run")
+               "independence", "router-oracle", "region-resolution", "fault-free-run")
 
 
 @pytest.mark.parametrize("row, install, detail", [
@@ -200,16 +226,16 @@ VERIFY_ROWS = ("topology", "partition", "spanning", "height", "rotation", "path-
      "tree j = rho^(j-1) of tree 1"),
     ("path-words", _forged_function(cli, "path_word", lambda real: lambda v, k: real(-v, k)),
      "word table matches tree 1"),
-    ("region-table", _forged_function(
-        trees, "parent_child_spec", lambda real: lambda reg, j: real(reg, j % 4 + 1)),
-     "region rows rebuild all trees"),
     ("independence", _forged_table(trees.root_paths, _tree_2_through_tree_1),
-     "(GaussInt(2, 0), 1, 2, GaussInt(1, 0))"),
+     "2: trees 1 and 2 share 1"),
     ("router-oracle", _forged_table(router._grid_rows, lambda rows: (None,) * len(rows)),
      "routes equal tree paths"),
     ("region-resolution", _forged_function(simulator, "_REGION_ROWS", lambda rows: (
         rows[0], *({j: spec[j % 4 + 1] for j in spec} for spec in rows[1:]))),
      "simulated rows"),
+    pytest.param("region-resolution",
+                 _forged_function(simulator, "_REGION_ROWS", _dropped_child_port),
+                 "simulated rows", id="region-resolution-child-port"),
     ("fault-free-run", _forged_table(
         trees._children, lambda children: (children[0], *[((),) * len(children[0])] * 3)),
      "9 rounds, 124 messages"),

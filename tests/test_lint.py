@@ -152,6 +152,13 @@ def test_no_reach_table_in_the_package():
     assert [p.name for p in SOURCES if "reach_tables" in p.read_text()] == []
 
 
+def test_no_region_parent_map_in_the_package():
+    # the parent pointers rebuilt from the region table alone are the tests'
+    # oracle (tests/oracles.py): verify's region-resolution row checks the
+    # region rows, child ports too, against parent_rows
+    assert [p.name for p in SOURCES if "region_parent_map" in p.read_text()] == []
+
+
 def module_names(source: str) -> set[str]:
     """The names a module binds at its top level or reads bare (not as an
     attribute), and the names it imports."""
@@ -185,9 +192,10 @@ def test_one_node_query_per_quantity():
     assert found == []
 
 
-def raisers(source: str, text: str) -> list[str]:
-    """The functions (methods as Class.name) with a raise whose string
-    constants, f-string parts included, contain text."""
+def raisers(source: str, text: str, within=ast.Raise) -> list[str]:
+    """The functions (methods as Class.name) with a raise, or other node of
+    type within, whose string constants, f-string parts included, contain
+    text; within=ast.FunctionDef finds any string of the function."""
     found = []
 
     def visit(node, prefix):
@@ -197,7 +205,7 @@ def raisers(source: str, text: str) -> list[str]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(isinstance(c, ast.Constant) and isinstance(c.value, str)
                        and text in c.value
-                       for r in ast.walk(child) if isinstance(r, ast.Raise)
+                       for r in ast.walk(child) if isinstance(r, within)
                        for c in ast.walk(r)):
                     found.append(prefix + child.name)
 
@@ -210,6 +218,7 @@ def test_detects_raisers():
               "class C:\n    def b(self):\n        raise KeyError('is bad')\n"
               "    def c(self):\n        return 'is bad'\n")
     assert raisers(source, "is bad") == ["a", "C.b"]
+    assert raisers(source, "is bad", ast.FunctionDef) == ["a", "C.b", "C.c"]
 
 
 def test_one_node_check():
@@ -217,3 +226,12 @@ def test_one_node_check():
     found = [f"{p.stem}.{name}"
              for p in SOURCES for name in raisers(p.read_text(), "is not canonical")]
     assert found == ["core.node_residue"]
+
+
+def test_one_spanning_check():
+    # a parent table that is not four spanning trees of height <= 2k is
+    # refused, and its defect worded, in one place: verify's spanning row
+    # prints the reason and root_paths raises it
+    found = [f"{p.stem}.{name}" for p in SOURCES
+             for name in raisers(p.read_text(), "parent cycle", ast.FunctionDef)]
+    assert found == ["trees.unspanned"]

@@ -53,7 +53,7 @@ PINNED = {
     "tree dot k=6":
         "eb68420ce68575993b8560399ef694676547bfd17ccc102ff0ba82916acd4b1d",
     "verify k=2..6":
-        "dd216614ca51532c70a8ac5d17c3e078567d9530712a2b93bc68429fd41a7a5a",
+        "47b2684235488253c507cc78d540aae897ce907034ef75a7fb8a0c8a385a8f93",
     "route --all k=2":
         "1d21b4a6f8cdf7966e9138f6e736211a3becd48b92b054f656b6cc1bf1ba98bc",
     "route --json k=2":

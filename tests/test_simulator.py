@@ -182,9 +182,15 @@ class TestRun:
         for v, r in base.first_receipt.items():
             assert shifted.first_receipt[reduce(v + s, 3)] == r
 
-    def test_round_cap(self):
-        with pytest.raises(SimulationError):
-            run(SimConfig(k=3, max_rounds=1))
+    def test_round_cap(self, monkeypatch):
+        # a parent cycle in tree 1's child lists keeps its frontier alive:
+        # every k, k = 1 with its star trees too, stops at round 4k + 4
+        for k in (1, 3):
+            children = list(map(list, trees._children(k)))
+            children[0][1] = (*children[0][1], 0)  # the root is a child of node 1
+            monkeypatch.setattr(simulator, "_children", lambda _k: children)
+            with pytest.raises(SimulationError, match=f"exceeded {4 * k + 4} rounds"):
+                run(SimConfig(k=k))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

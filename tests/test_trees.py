@@ -35,13 +35,12 @@ from gaussnet.trees import (
     parent_child_spec,
     parent_rows,
     path_word,
-    region_parent_map,
     root_paths,
     tree_path,
     verify_independence,
 )
 
-from oracles import classify, reach_tables
+from oracles import classify, reach_tables, region_parent_map
 
 
 def n(text: str) -> GaussInt:
