@@ -161,11 +161,12 @@ def residue(z: GaussInt, k: int) -> int:
 
 def node_residue(v: GaussInt, k: int, name: str = "") -> int:
     """The residue of v, which must be canonical: the one check of a node
-    argument.  name, if given, labels v in the error."""
-    if not is_canonical(v, k):
+    argument, with is_canonical and residue inlined for its many callers.
+    name, if given, labels v in the error."""
+    if abs(v.x) + abs(v.y) > k:
         label = f"{name} {v}" if name else v
         raise ValueError(f"{label} is not canonical for k={k}")
-    return residue(v, k)
+    return (v.x - (2 * k + 1) * v.y) % (2 * k * k + 2 * k + 1)
 
 
 def reduce(z: GaussInt, k: int) -> GaussInt:

@@ -18,7 +18,7 @@ must equal the corresponding tree path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     GaussInt,
@@ -35,7 +35,7 @@ from .core import (
     residue,
     rho,
 )
-from .trees import _check_tree_k, _children
+from .trees import ResidueView, _check_tree_k, _children
 
 import json
 
@@ -213,6 +213,36 @@ def decide(t: GaussInt, d: GaussInt, k: int) -> RoutingDecision:
     return RoutingDecision(direction=rho(direction, m), tree=(tree - 1 + m) % 4 + 1)
 
 
+def _walk(r_s: int, r_d: int, j: int, k: int) -> tuple[list[int], list[GaussInt]]:
+    """Tree j's route from residue r_s to r_d: as residues in the frame where
+    the source is 0 and the destination lies in quadrant 1, and as nodes."""
+    nodes, rows = network(k).nodes, _grid_rows(k)
+    if j not in (1, 2, 3, 4) or r_s == r_d:  # start_route words the error
+        start_route(nodes[r_s], nodes[r_d], j, k)
+    n, stride = len(nodes), 2 * k + 1
+    m, turn, _, r_d, col = _frames(k)[(r_d - r_s) % n]
+    d, j_frame = nodes[r_d], (j - 1 - m) % 4 + 1  # tree j is tree j_frame in the frame
+    path = [0, (1, -stride, -1, stride)[j_frame - 1] % n]  # its first hop's residue
+    r = path[1]
+    while r != r_d:
+        try:
+            cell = rows[r][col]
+            direction, tree = cell(nodes[r], d, k) if callable(cell) else cell
+        except TypeError:  # no row (the source) or no cell: _grid_cell words it
+            direction, tree = _grid_cell(rows[r], col, nodes[r], d, k)
+        if tree != j_frame:
+            raise RoutingError(
+                f"decision at {nodes[r * turn % n]} serves tree "
+                f"{(tree - 1 + m) % 4 + 1}, expected {j}"
+            )
+        r = (r + direction.x - stride * direction.y) % n
+        path.append(r)
+        if len(path) > stride:  # 2k + 1 nodes, the height bound
+            rel = [nodes[r * turn % n] for r in path]
+            raise RoutingError(f"route exceeded height bound: {rel}")
+    return path, [nodes[(r * turn + r_s) % n] for r in path]
+
+
 def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
     """Full path s..d along tree j, taking the decide() step at every node.
 
@@ -225,25 +255,7 @@ def route(s: GaussInt, d: GaussInt, j: int, k: int) -> list[GaussInt]:
     """
     _check_tree_k(k)
     r_s, r_d = node_residue(s, k, "source"), node_residue(d, k, "destination")
-    first = start_route(s, d, j, k)
-    nodes, rows = network(k).nodes, _grid_rows(k)
-    n = len(nodes)
-    m, turn, unturn, r_d, col = _frames(k)[(r_d - r_s) % n]
-    d_frame, j_frame, stride = nodes[r_d], (j - 1 - m) % 4 + 1, 2 * k + 1
-    path = [0, residue(first, k) * unturn % n]
-    while path[-1] != r_d:
-        r = path[-1]
-        direction, tree = _grid_cell(rows[r], col, nodes[r], d_frame, k)
-        if tree != j_frame:
-            raise RoutingError(
-                f"decision at {nodes[r * turn % n]} serves tree "
-                f"{(tree - 1 + m) % 4 + 1}, expected {j}"
-            )
-        path.append((r + direction.x - stride * direction.y) % n)
-        if len(path) > 2 * k + 1:
-            rel = [nodes[r * turn % n] for r in path]
-            raise RoutingError(f"route exceeded height bound: {rel}")
-    return [nodes[(r * turn + r_s) % n] for r in path]
+    return _walk(r_s, r_d, j, k)[1]
 
 
 # _DELIVERED[mask]: tree indices whose bit is clear in a 4-bit blocked mask
@@ -254,18 +266,19 @@ _DELIVERED = tuple(
 
 def broadcast(
     s: GaussInt, faults: Iterable[GaussInt], k: int
-) -> dict[GaussInt, set[int]]:
+) -> Mapping[GaussInt, frozenset[int]]:
     """Deliver from s along all four trees, dropping paths through faults.
 
-    Returns, for every other node, the set of tree indices that delivered.
-    With at most three faults every live node receives at least one copy.
-    Tree j misses the faults' subtrees in it, walked down run()'s child lists.
+    Returns, for every other node, the frozenset of tree indices that delivered,
+    in a read-only ResidueView of the blocked masks (dict() copies it).  With at
+    most three faults every live node receives at least one copy.  Tree j misses
+    the faults' subtrees in it, walked down run()'s child lists.
     """
     _check_tree_k(k)
     r_s, *r_faults = (node_residue(v, k, "node") for v in (s, *faults))
     nodes = network(k).nodes
     n = len(nodes)
-    rel_faults = {(r - r_s) % n for r in r_faults}
+    rel_faults = [(r - r_s) % n for r in set(r_faults)]
     if len(rel_faults) > 3:
         raise ValueError("at most 3 faults are tolerated")
     if 0 in rel_faults:
@@ -276,20 +289,17 @@ def broadcast(
         for u in subtrees:  # the loop also reads the children it appends
             blocked[u] |= bit
             subtrees += tree[u]
-    return {
-        nodes[(r + r_s) % n]: set(_DELIVERED[mask])
-        for r, mask in enumerate(blocked)
-        if r
-    }
+    blocked[0] = None  # the source is no key
+    return ResidueView(k, nodes, r_s, blocked, range(1, n), _DELIVERED)
 
 
-def _shared_interior(routes: list[list[GaussInt]]) -> tuple[GaussInt, int, int] | None:
+def _shared_interior(routes: list[list]) -> tuple[object, int, int] | None:
     """The first interior node on two of the routes to trees 1..4, as (v, j, j').
 
     j < j' are the trees whose routes hold v; None when the routes share
-    only their endpoints.
+    only their endpoints.  The nodes may be residues.
     """
-    seen: dict[GaussInt, int] = {}
+    seen: dict[object, int] = {}
     for j, path in enumerate(routes, start=1):
         for v in path[1:-1]:
             if v in seen:
@@ -304,17 +314,20 @@ def secure_split(
     """Split a message into four parts routed along the four disjoint trees.
 
     The split is a plain byte partition; the guarantee is that no node other
-    than the endpoints sees more than one part.
+    than the endpoints sees more than one part, checked on the residue walks.
     """
-    routes = [route(s, d, j, k) for j in (1, 2, 3, 4)]
-    if shared := _shared_interior(routes):
-        v, j, j2 = shared
+    _check_tree_k(k)
+    r_s, r_d = node_residue(s, k, "source"), node_residue(d, k, "destination")
+    walks = [_walk(r_s, r_d, j, k) for j in (1, 2, 3, 4)]
+    if shared := _shared_interior([path for path, _ in walks]):
+        r, j, j2 = shared
+        v = walks[j - 1][1][walks[j - 1][0].index(r)]
         raise RoutingError(f"node {v} lies on trees {j} and {j2}; paths not disjoint")
     base, extra = divmod(len(message), 4)  # the first `extra` parts get one more byte
     cut = [j * base + min(j, extra) for j in range(5)]
-    parts = [message[cut[j]:cut[j + 1]] for j in range(4)]
     return [
-        (Packet(source=s, destination=d, tree=j + 1, payload=parts[j]), routes[j])
+        (Packet(source=s, destination=d, tree=j + 1, payload=message[cut[j]:cut[j + 1]]),
+         walks[j][1])
         for j in range(4)
     ]
 

@@ -42,8 +42,8 @@ from .core import (
     residue,
     row_template,
 )
-from .trees import (_children, fault_pairs, fault_singles, fault_triples, parent_child_spec,
-                    parent_rows, triple_values)
+from .trees import (ResidueView, _children, fault_pairs, fault_singles, fault_triples,
+                    parent_child_spec, parent_rows, triple_values)
 
 STEP_CONVENTION = (
     "first_receipt(v) = earliest round with a fault-free root-to-v tree path "
@@ -115,70 +115,76 @@ class SimRun:
     messages_per_round: tuple[int, ...]
 
     def reached(self) -> set[GaussInt]:
-        return {v for v in self.first_receipt if v != self.config.root}
+        view = self.first_receipt  # run()'s ResidueView: i is a residue relative to the root
+        return {v for v, i in zip(view, view._order) if i}
 
     @cached_property
     def trees_resolved(self) -> Mapping[GaussInt, NodeState]:
         """Each reached node but the root: its state, derived on first read."""
-        k, root = self.config.k, self.config.root
-        nodes, resolved = network(k).nodes, {}
+        view, k = self.first_receipt, self.config.k
+        nodes, rounds = view._nodes, view._values
         codes = region_codes(k).tolist() if k > 1 else [0] * len(nodes)  # k = 1 has no trees
-        for v, r in self.first_receipt.items():
-            if i := residue(v - root, k):  # v's residue relative to the root
-                resolved[v] = NodeState(nodes[i], r, _REGION_ROWS[codes[i]])
-        return MappingProxyType(resolved)
+        return MappingProxyType({v: NodeState(nodes[i], rounds[i], _REGION_ROWS[codes[i]])
+                                 for v, i in zip(view, view._order) if i})
 
 
 def run(config: SimConfig) -> SimRun:
     """Execute one run; a pure function of its configuration.
 
-    The rounds run on residues in the root's frame (root at 0); each
-    reached node is translated to its absolute address once, at the end,
-    by adding the root's residue.  A run past round 4k + 4 raises
+    The rounds run on residues in the root's frame (root at 0): rounds[i] is
+    node i's first-receipt round, and first_receipt a read-only ResidueView of
+    it, keyed in order of first receipt.  A run past round 4k + 4 raises
     SimulationError: no trees of height 2k take that long.
     """
     k = config.k
     nodes = network(k).nodes
     n, r_root = len(nodes), residue(config.root, k)
-    faults = {(residue(f, k) - r_root) % n for f in config.faults}
+    faults = [(residue(f, k) - r_root) % n for f in config.faults]
+    rounds: list = [None] * n  # None until reached; -1 marks a fault, so a child costs one read
+    for f in faults:
+        rounds[f] = -1
+    rounds[0], order = 0, [0]
+    messages_per_round = [4]  # round 1: the root's four
     children = _children(k)
-    first_rel: dict[int, int] = {0: 0}
     frontiers: list[list[int]] = [[0], [0], [0], [0]]
     rnd = 0
     while any(frontiers):
         rnd += 1
         if rnd > 4 * k + 4:
             raise SimulationError(f"exceeded {4 * k + 4} rounds (4k + 4) at round {rnd}")
+        received = len(order)
         for j in range(4):
             tree, nxt = children[j], []
             for u in frontiers[j]:
                 for c in tree[u]:
-                    if c in faults:
+                    got = rounds[c]
+                    if got is None:  # rounds only grow: the first receipt
+                        rounds[c] = rnd
+                        order.append(c)
+                    elif got < 0:
                         continue
                     nxt.append(c)
-                    if c not in first_rel:  # rounds only grow
-                        first_rel[c] = rnd
             frontiers[j] = nxt
-
-    reached_rounds = [r for i, r in first_rel.items() if i]
-    last_active = (max(reached_rounds) + 1) if reached_rounds else 1
-    messages_per_round = [0] * (last_active + 1)
-    messages_per_round[1] = 4
-    for r in reached_rounds:
-        messages_per_round[r + 1] += 3
+        messages_per_round.append(3 * (len(order) - received))  # sent in round rnd + 1
+    for f in faults:
+        rounds[f] = None  # no key
+    last_active = rounds[order[-1]] + 1  # the last receipt's round, then one forwarding round
+    del messages_per_round[last_active:]
 
     return SimRun(
         config=config,
-        first_receipt={nodes[(i + r_root) % n]: r for i, r in first_rel.items()},
+        first_receipt=ResidueView(k, nodes, r_root, rounds, order),
         last_active_round=last_active,
         messages_sent=sum(messages_per_round),
-        messages_per_round=tuple(messages_per_round[1:]),
+        messages_per_round=tuple(messages_per_round),
     )
 
 
 def reachability_report(sim: SimRun) -> dict[GaussInt, bool]:
     """True per node when the run delivered to it; faulty nodes are False."""
-    return {v: v in sim.first_receipt for v in network(sim.config.k).nodes}
+    view = sim.first_receipt
+    rounds, at = view._values, -view._base  # rounds[at:] + rounds[:at] is by absolute residue
+    return dict(zip(view._nodes, [r is not None for r in rounds[at:] + rounds[:at]]))
 
 
 def region_resolution_check(k: int) -> bool:

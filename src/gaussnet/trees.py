@@ -106,6 +106,36 @@ class _Values(ValuesView):
         return self._mapping._pairs()
 
 
+class ResidueView(Mapping):
+    """broadcast's and run's read-only result, with no dict of n nodes: view[v]
+    is values[r], or table[values[r]], for r canonical v's residue less base,
+    that of the node the result is relative to; a None value marks no key.
+    Keys iterate as the relative residues of order.  dict(view) copies it."""
+
+    __slots__ = ("_k", "_nodes", "_base", "_values", "_order", "_table")
+
+    def __init__(self, k: int, nodes: tuple, base: int, values: list, order, table=None):
+        self._k, self._nodes, self._base = k, nodes, base
+        self._values, self._order, self._table = values, order, table
+
+    def __getitem__(self, v: GaussInt):
+        if isinstance(v, GaussInt):
+            try:  # a negative index wraps, so no mod n
+                value = self._values[node_residue(v, self._k) - self._base]
+            except ValueError:  # v is not canonical
+                value = None
+            if value is not None:
+                return value if self._table is None else self._table[value]
+        raise KeyError(v)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self):
+        nodes, base, n = self._nodes, self._base, len(self._nodes)
+        return (nodes[(r + base) % n] for r in self._order)
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """One spanning tree, as a view: no per-node state of its own.

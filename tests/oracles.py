@@ -17,6 +17,7 @@ from gaussnet.core import (
     network,
     reduce,
     region_codes,
+    residue,
     rho,
 )
 
@@ -40,6 +41,44 @@ def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
         for anc in P[j]:
             flat[anc.astype(np.intp) * n + cols] |= 1 << j
     return (*trees._shared(B), LUT)
+
+
+def run_by_dict(config) -> tuple[dict[GaussInt, int], int, tuple[int, ...]]:
+    """simulator.run's rounds as a dict: (first_receipt, last_active_round,
+    messages_per_round), first_receipt keyed in order of first receipt.
+
+    The round loop probes a fault set and a dict of first rounds for every
+    child, and the messages are counted from the receipts after the loop.
+    Reads trees._children through the module, so forged trees reach it.
+    """
+    k = config.k
+    nodes = network(k).nodes
+    n, r_root = len(nodes), residue(config.root, k)
+    faults = {(residue(f, k) - r_root) % n for f in config.faults}
+    children = trees._children(k)
+    first_rel: dict[int, int] = {0: 0}
+    frontiers: list[list[int]] = [[0], [0], [0], [0]]
+    rnd = 0
+    while any(frontiers):
+        rnd += 1
+        for j in range(4):
+            tree, nxt = children[j], []
+            for u in frontiers[j]:
+                for c in tree[u]:
+                    if c in faults:
+                        continue
+                    nxt.append(c)
+                    if c not in first_rel:  # rounds only grow
+                        first_rel[c] = rnd
+            frontiers[j] = nxt
+    reached_rounds = [r for i, r in first_rel.items() if i]
+    last_active = (max(reached_rounds) + 1) if reached_rounds else 1
+    messages_per_round = [0] * (last_active + 1)
+    messages_per_round[1] = 4
+    for r in reached_rounds:
+        messages_per_round[r + 1] += 3
+    first_receipt = {nodes[(i + r_root) % n]: r for i, r in first_rel.items()}
+    return first_receipt, last_active, tuple(messages_per_round[1:])
 
 
 def region_parent_map(j: int, k: int) -> dict[GaussInt, tuple[GaussInt, GaussInt]]:

@@ -235,3 +235,27 @@ def test_one_spanning_check():
     found = [f"{p.stem}.{name}" for p in SOURCES
              for name in raisers(p.read_text(), "parent cycle", ast.FunctionDef)]
     assert found == ["trees.unspanned"]
+
+
+def comprehensions(source: str, names: set[str]) -> dict[str, list[int]]:
+    """The lines of the dict and set comprehensions in each named top-level function."""
+    return {
+        node.name: [c.lineno for c in ast.walk(node) if isinstance(c, (ast.DictComp, ast.SetComp))]
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+
+
+def test_detects_comprehensions():
+    source = ("def a():\n    return {v: 1 for v in x}\ndef b():\n    return [v for v in x]\n"
+              "def c():\n    return {v for v in x}\n")
+    assert comprehensions(source, {"a", "b", "c"}) == {"a": [2], "b": [], "c": [6]}
+
+
+def test_local_operations_build_no_node_dict():
+    # broadcast and run answer through trees.ResidueView over a residue list:
+    # a dict or set comprehension in either is a per-call table of n nodes
+    found = {}
+    for name, fn in (("router.py", "broadcast"), ("simulator.py", "run")):
+        found |= comprehensions((ROOT / "src" / "gaussnet" / name).read_text(), {fn})
+    assert found == {"broadcast": [], "run": []}

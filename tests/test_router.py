@@ -1,6 +1,7 @@
 """Table-driven routing against the tree-path oracle; broadcast and splitting."""
 
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -356,6 +357,52 @@ class TestBroadcast:
                 broadcast(s, faults, 2)
 
 
+class TestBroadcastView:
+    """broadcast's result is a read-only trees.ResidueView over one list, its
+    values the shared frozensets of router._DELIVERED."""
+
+    def test_keys(self):
+        k, s, faults = 3, n("1-i"), (n("2-i"), n("i"))
+        view, nodes = broadcast(s, faults, k), network(k).nodes
+        r_s = core.residue(s, k)
+        assert list(view) == [nodes[(r + r_s) % len(nodes)] for r in range(1, len(nodes))]
+        assert len(view) == len(nodes) - 1 and all(v in view for v in view)
+        assert view[faults[0]] == frozenset() and view.get(faults[1]) == frozenset()
+        assert all(type(trees) is frozenset for trees in view.values())
+        for key in (s, GaussInt(3, 1), GaussInt(0, -5), (1, 0), 1, "1"):
+            assert key not in view and view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+
+    def test_values_are_shared(self):
+        a, b = broadcast(ZERO, (), 3), broadcast(n("1"), (n("2"),), 4)
+        assert a[n("i")] is a[n("-i")] is router._DELIVERED[0]  # all four trees
+        assert b[n("2")] is router._DELIVERED[15]  # the fault: none
+
+    def test_read_only_and_pickles(self):
+        view = broadcast(n("1-i"), (n("2"),), 3)
+        with pytest.raises(TypeError):
+            view[n("1")] = frozenset()
+        with pytest.raises(TypeError):
+            del view[n("1")]
+        copy = pickle.loads(pickle.dumps(view))
+        assert list(copy.items()) == list(view.items()) and copy == view
+
+    def test_three_fault_call_holds_no_node_dict(self):
+        # with warm tables the call holds its blocked list (28 KB at k=40),
+        # not n - 1 fresh sets in a dict (884 KB)
+        k = 40
+        s, *faults = random.Random(40).sample(network(k).nodes, 4)
+        broadcast(s, faults, k)
+        tracemalloc.start()
+        try:
+            out = broadcast(s, faults, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == core.node_count(k) - 1 and peak < 128 * 1024, peak
+
+
 class TestSecureSplit:
     def test_no_intermediate_overlap(self):
         rng = random.Random(5)
@@ -382,13 +429,14 @@ class TestSecureSplit:
         assert lengths[0] == 1
 
     def test_shared_interior_node_raises(self, monkeypatch):
-        # tree 2 forged onto tree 1's path 0, 1, 2, 2+i: node 1 is on both
-        real = router.route
+        # tree 2 forged onto tree 1's path 0, 1, 2, 2+i: node 1 is on both;
+        # the split walks its routes on residues, as route does
+        real = router._walk
 
-        def forged(s, d, j, k):
-            return real(s, d, 1 if j == 2 else j, k)
+        def forged(r_s, r_d, j, k):
+            return real(r_s, r_d, 1 if j == 2 else j, k)
 
-        monkeypatch.setattr(router, "route", forged)
+        monkeypatch.setattr(router, "_walk", forged)
         with pytest.raises(RoutingError,
                            match="node 1 lies on trees 1 and 2; paths not disjoint"):
             secure_split(ZERO, n("2+i"), 3, b"abcd")

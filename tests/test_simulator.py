@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import random
 import threading
 import tracemalloc
@@ -42,7 +43,7 @@ from gaussnet.simulator import (
 )
 from gaussnet.trees import build_tree, parent_child_spec, tree_path
 
-from oracles import classify, reach_tables
+from oracles import classify, reach_tables, run_by_dict
 
 
 def n(text: str) -> GaussInt:
@@ -206,6 +207,85 @@ class TestRun:
         sim = run(SimConfig(k=1, faults=frozenset({n("1"), n("-1"), n("i")})))
         assert sim.last_active_round == 2
         assert sim.first_receipt[n("-i")] == 1
+
+
+class TestFirstReceiptView:
+    """run().first_receipt is a read-only trees.ResidueView over the rounds
+    list: it equals the dict the round loop built before (oracles.run_by_dict),
+    key order included, and so do the round and message counts."""
+
+    @staticmethod
+    def check(config):
+        sim, (want, last, per_round) = run(config), run_by_dict(config)
+        got = sim.first_receipt
+        assert dict(got) == want and list(got) == list(want), config
+        assert (sim.last_active_round, sim.messages_per_round) == (last, per_round), config
+        assert sim.messages_sent == sum(per_round)
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4))
+    def test_every_small_fault_set_matches_dict_oracle(self, k):
+        others = network(k).nodes[1:]
+        for f in range(4):
+            for faults in itertools.combinations(others, f):
+                self.check(SimConfig(k=k, faults=frozenset(faults)))
+
+    @pytest.mark.parametrize("k", range(5, 31))
+    def test_seeded_roots_and_faults_match_dict_oracle(self, k):
+        nodes, rng = network(k).nodes, random.Random(900 + k)
+        for _ in range(20):
+            root, *faults = rng.sample(nodes, 1 + rng.randint(0, 3))
+            self.check(SimConfig(k=k, root=root, faults=frozenset(faults)))
+
+    def test_keys(self):
+        k, root, faults = 3, n("1-i"), frozenset({n("2-i"), n("i")})
+        view, nodes = run(SimConfig(k=k, root=root, faults=faults)).first_receipt, network(k).nodes
+        assert len(view) == len(nodes) - 2 and set(view) == set(nodes) - faults
+        assert next(iter(view)) == root and view[root] == 0 and view.get(root) == 0
+        assert all(v in view and view.get(v) == view[v] for v in view)
+        for key in (*faults, GaussInt(3, 1), GaussInt(0, -5), (1, 0), 1, "1"):
+            assert key not in view and view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+
+    def test_unreached_nodes_are_no_keys(self, monkeypatch):
+        # trees 2..4 emptied, so a fault on tree 1 cuts its subtree off
+        k, nodes = 3, network(3).nodes
+        real = trees._children(k)
+        forged = (real[0], *[((),) * len(nodes)] * 3)
+        for module in (simulator, trees):  # run, and the oracle through trees
+            monkeypatch.setattr(module, "_children", lambda _k: forged)
+        below = [nodes[c] for c in real[0][1]]  # node 1's children in tree 1
+        config = SimConfig(k=k, faults=frozenset({nodes[1]}))
+        view = run(config).first_receipt
+        assert below and dict(view) == run_by_dict(config)[0]
+        for v in below:
+            assert v not in view and view.get(v) is None
+            with pytest.raises(KeyError):
+                view[v]
+
+    def test_read_only_and_pickles(self):
+        view = run(SimConfig(k=3, root=n("1-i"), faults=frozenset({n("2")}))).first_receipt
+        with pytest.raises(TypeError):
+            view[n("1-i")] = 1
+        with pytest.raises(TypeError):
+            del view[n("1-i")]
+        copy = pickle.loads(pickle.dumps(view))
+        assert list(copy.items()) == list(view.items()) and copy == view
+
+    def test_three_fault_run_holds_no_node_dict(self):
+        # with warm tables the run holds its rounds and order lists (60 KB at
+        # k=40), not a dict of n nodes (400 KB)
+        k = 40
+        faults = frozenset(random.Random(40).sample(network(k).nodes[1:], 3))
+        config = SimConfig(k=k, faults=faults)
+        run(config)
+        tracemalloc.start()
+        try:
+            sim = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.first_receipt) == node_count(k) - 3 and peak < 128 * 1024, peak
 
 
 class TestResolution:
