@@ -4,7 +4,7 @@ sweep_rounds, the tests' oracle, which no sweep calls: one flat table lookup
 per (fault set, node).  Inputs, from the tests' oracle in tests/oracles.py:
 
   B       uint8[n, n]   B[u, v]: trees whose root path to v contains u
-  LUT     uint8[n, 16]  LUT[v, mask]: best depth of v avoiding trees in mask
+  LUT     value[n, 16]  LUT[v, mask]: best depth of v avoiding trees in mask
   faults  int[m, f]     node indices of each fault combination
 
 It returns, for each combination, 1 + the worst first-receipt round over
@@ -13,7 +13,7 @@ out of the maximum without a separate step.  The lookup is a flat gather:
 16 v | mask is v's entry in LUT.ravel(), so one 1-D `take` reads every node,
 where LUT[np.arange(n), blocked] would be a slower 2-D fancy index.  The
 fault rows are ORed as uint8 and widened once, to the smallest unsigned
-dtype that holds 16 n (uint16 up to k = 44).
+dtype that holds 16 n (uint16 up to k = 44).  value is root_paths' value dtype.
 
 triple_counts, for exhaustive f = 3 cells: a slab pass over every fault
 triple of the pair table trees.fault_pairs(k)[1], one middle fault at a time.
@@ -41,7 +41,7 @@ def sweep_rounds(B: np.ndarray, LUT: np.ndarray, faults: np.ndarray) -> np.ndarr
 
 def triple_counts(W: np.ndarray, size: int) -> np.ndarray:
     """counts[w], w < size: the a < b < c in 1..n-1 with max(W[a, b], W[a, c],
-    W[b, c]) == w, for a symmetric uint8 W.
+    W[b, c]) == w, for a symmetric W of root_paths' value dtype.
 
     The triples with middle element b are the rectangle a in 1..b-1 by c in
     b+1..n-1, the block W[1:b, b+1:] maxed with column b and row b of W.

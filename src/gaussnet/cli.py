@@ -45,14 +45,8 @@ from .simulator import (
     sweep_table_csv,
     region_resolution_check,
 )
-from .trees import (
-    build_tree,
-    path_word,
-    root_paths,
-    tree_path,
-    unspanned,
-    verify_independence,
-)
+from .trees import (_ancestor_blocks, build_tree, path_word, root_paths, tree_path,
+                    verify_independence)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -159,13 +153,13 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     results.append(("partition", partition_ok,
                     f"{sum(map(bool, counts[1:]))} quadrant regions"))
 
-    reason = unspanned(k)
-    results.append(("spanning", not reason, reason or f"{n - 1} edges per tree"))
-    if reason:  # the rows below read root_paths, which raises it
-        return results
+    try:  # root_paths words why the parent table is not four spanning trees
+        depth = root_paths(k)[0]
+    except AssertionError as reason:
+        return [*results, ("spanning", False, str(reason))]
+    results.append(("spanning", True, f"{n - 1} edges per tree"))
 
     trees = [build_tree(j, k) for j in (1, 2, 3, 4)]
-    P, depth, _ = root_paths(k)
 
     height = int(depth.max())
     results.append(("height", height == 2 * k, f"height {height}"))
@@ -177,11 +171,12 @@ def _verify_one(k: int) -> list[tuple[str, bool, str]]:
     )
     results.append(("rotation", rot_ok, "tree j = rho^(j-1) of tree 1"))
 
+    nodes = network(k).nodes
     words_ok = all(  # each word walked from the root as sums of its steps' residues
         [w % n for w in accumulate(
-            sum(([residue(d, k)] * m for d, m in path_word(v, k).steps), []), initial=0)]
-        == P[0, depth[r, 0]::-1, r].tolist()
-        for r, v in enumerate(network(k).nodes) if r
+            sum(([residue(d, k)] * m for d, m in path_word(nodes[r], k).steps), []), initial=0)]
+        == A[0, depth[r, 0]::-1, i].tolist()
+        for _, A in _ancestor_blocks(k, np.arange(1, n)) for i, r in enumerate(A[0, 0].tolist())
     )
     results.append(("path-words", words_ok, "word table matches tree 1"))
 

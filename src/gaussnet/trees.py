@@ -43,7 +43,7 @@ from .core import (
 import json
 
 MIN_TREE_K = 2
-BLOCK_NODES = 2048  # nodes per verify_independence sort, pair candidates per fault_pairs fold
+BLOCK_NODES = 2048  # pair candidates per fault_pairs fold; 16 / k of it, nodes per ancestor block
 _XY = {"x": LEAF, "y": LEAF}
 _TREE_ROW = row_template({"node": _XY, "parent": _XY, "dir": LEAF})
 
@@ -155,7 +155,7 @@ class SpanningTree:
 
     def depth(self, v: GaussInt) -> int:
         """v's depth in this tree, read from root_paths' depth table."""
-        return int(root_paths(self.k)[1][node_residue(v, self.k), self.index - 1])
+        return int(root_paths(self.k)[0][node_residue(v, self.k), self.index - 1])
 
     def to_json(self) -> str:
         name = {d: json.dumps(direction_name(d)) for d in DIRECTIONS}
@@ -220,72 +220,76 @@ def build_tree(j: int, k: int) -> SpanningTree:
 
 
 def tree_path(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
-    """The unique root..v path, root first, read from root_paths' P."""
+    """The unique root..v path, root first: v's depth in steps up its row of
+    parent_rows, read through a memoryview, whose items are Python ints."""
     k, j, i = tree.k, tree.index - 1, node_residue(v, tree.k)
-    P, depth, _ = root_paths(k)
-    nodes = network(k).nodes
-    return [nodes[u] for u in P[j, depth[i, j]::-1, i].tolist()]
-
-
-def unspanned(k: int) -> str:
-    """Why some row of parent_rows(k) is not a spanning tree rooted at 0 of
-    height at most 2k, or "".  Each parent step must be a unit's residue, and
-    the row's 2k-th power, taken by pointer doubling, must be 0 everywhere: no
-    node is on a parent cycle or more than 2k edges from the root."""
-    n, parent = node_count(k), parent_rows(k)
-    unit = np.zeros(n, dtype=bool)
-    unit[[residue(d, k) for d in DIRECTIONS]] = True
-    up, reach, e = parent, np.broadcast_to(np.arange(n), parent.shape), 2 * k
-    while e:  # reach = parent^(2k), from the squarings up = parent^(2^s)
-        reach = np.take_along_axis(up, reach, axis=1) if e & 1 else reach
-        up, e = np.take_along_axis(up, up, axis=1), e >> 1
-    for j in range(4):
-        if not unit[(parent[j, 1:] - np.arange(1, n)) % n].all():
-            return f"tree {j + 1} has a parent step that is not a unit"
-        if reach[j].any():
-            return f"tree {j + 1} has a parent cycle or a path over {2 * k} edges"
-    return ""
+    up, nodes = memoryview(parent_rows(k)[j]), network(k).nodes
+    path = [nodes[i]]
+    for _ in range(root_paths(k)[0][i, j]):
+        i = up[i]
+        path.append(nodes[i])
+    return path[::-1]
 
 
 @per_k
-def root_paths(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P, depth, LUT), the one walk up the trees of parent_rows (stars at
-    k = 1), over the indices of network(k).nodes (residues).
-
-    P[j, s, v] is v's s-th ancestor in tree j+1, the root 0 from s =
-    depth[v, j] on; uint16 while n < 65,536.  LUT[v, mask] (uint8) is the
-    smallest depth of v among the trees not in mask, or 0 when all four are
-    blocked; the root's row is 0.  Raises unspanned(k)'s reason, if any.
+def root_paths(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, LUT) over the residues, from one 2k-step walk up each tree of
+    parent_rows (stars at k = 1): depth[v, j] is v's depth in tree j+1, and
+    LUT[v, mask] the smallest depth of v among the trees not in mask (0 if
+    all four are, and in the root's row), both of the one value dtype, the
+    smallest that holds 2k + 1.  Raises why a row is not a spanning tree of
+    height at most 2k rooted at 0: a parent step is not a unit's residue, or
+    the walk ends off the root (a parent cycle, or a path over 2k edges).
     """
-    if reason := unspanned(k):
-        raise AssertionError(reason)
-    n, parent = node_count(k), parent_rows(k)
-    P = np.empty((4, 2 * k + 1, n), dtype=np.promote_types(np.min_scalar_type(n - 1), np.uint16))
-    P[:, 0] = np.arange(n)
-    for s in range(2 * k):
-        P[:, s + 1] = np.take_along_axis(parent, P[:, s], axis=1)
+    n, parent, units = node_count(k), parent_rows(k), [residue(d, k) for d in DIRECTIONS]
+    unreached = 2 * k + 1
+    depth = np.zeros((4, n), dtype=np.min_scalar_type(unreached))
+    for j, row in enumerate(parent):
+        if not np.isin((row[1:] - np.arange(1, n)) % n, units).all():
+            raise AssertionError(f"tree {j + 1} has a parent step that is not a unit")
+        up = np.arange(n)
+        for _ in range(2 * k):
+            depth[j] += up != 0
+            up = row.take(up)
+        if up.any():
+            raise AssertionError(f"tree {j + 1} has a parent cycle or a path over {2 * k} edges")
     # C order, or LUT below comes out F-ordered and the flat kernel's ravel copies it
-    depth = np.ascontiguousarray((P != 0).sum(axis=1, dtype=np.uint8).T)
-    unreached = np.iinfo(np.uint8).max
+    depth = np.ascontiguousarray(depth.T)
     blocked = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
     lut = np.where(blocked, unreached, depth[:, None, :]).min(axis=2)
     lut[lut == unreached] = 0
-    return _shared(P, depth, lut)
+    return _shared(depth, lut)
+
+
+def _ancestor_blocks(k: int, nodes: np.ndarray):
+    """(lo, A) for blocks of BLOCK_NODES * 16 // k nodes, about 2 MB at any k,
+    one empty if there are none: A[j, s, i] is the s-th ancestor in tree j+1
+    of nodes[lo + i] (intp), the root 0 from its depth on."""
+    n, size = node_count(k), max(1, BLOCK_NODES * 16 // k)
+    offset = np.arange(0, 4 * n, n)[:, None, None]  # tree j at j n: one take steps all four
+    up = (parent_rows(k) + offset[:, 0]).ravel()
+    for lo in range(0, max(len(nodes), 1), size):
+        block = nodes[lo:lo + size]
+        A = np.empty((4, 2 * k + 1, len(block)), dtype=np.intp)
+        A[:, 0] = block + offset[:, 0]
+        for s in range(2 * k):
+            up.take(A[:, s], out=A[:, s + 1])
+        A -= offset
+        yield lo, A
 
 
 @per_k
 def _children(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """children[j][i]: the children of node i in tree j+1, by residue.
-
-    Residues ascend within each list; k = 1 has the star trees of parent_rows.
-    simulator.run walks them from the root, router.broadcast from each fault.
-    """
-    n = node_count(k)
-    out = [[[] for _ in range(n)] for _ in range(4)]
-    for j, row in enumerate(parent_rows(k).tolist()):
-        for i, p in enumerate(row[1:], start=1):
-            out[j][p].append(i)
-    return tuple(tuple(map(tuple, tree)) for tree in out)
+    """children[j][i]: the children of node i in tree j+1, by residue, in
+    ascending order: one stable argsort of each parent row groups them.  k = 1
+    has the star trees of parent_rows.  simulator.run walks them from the
+    root, router.broadcast from each fault."""
+    out = []
+    for row in parent_rows(k)[:, 1:]:
+        kids = (np.argsort(row, kind="stable") + 1).tolist()
+        ends = np.cumsum(np.bincount(row, minlength=len(row) + 1)).tolist()
+        out.append(tuple(tuple(kids[a:b]) for a, b in zip([0, *ends], ends)))
+    return tuple(out)
 
 
 # -- exhaustive sweep tables: the root-path decomposition ----------------------
@@ -302,29 +306,31 @@ def _path_choices(k: int, trees: tuple[int, ...], rows: int):
     and, for two trees, above both one-tree values (else the singles hold
     it): one row per choice of a node inside each given tree's root path of
     v, nodes[q] inside trees[q]'s, as intp; about `rows` at a time, by v."""
-    P, depth, LUT = root_paths(k)
+    depth, LUT = root_paths(k)
     w = LUT[:, sum(1 << j for j in trees)]
     keep = w > k
     if len(trees) == 2:
         keep &= (w > LUT[:, 1 << trees[0]]) & (w > LUT[:, 1 << trees[1]])
-    heads = np.flatnonzero(keep)
-    sizes = depth[heads][:, trees].astype(np.intp) - 1
-    total = sizes.prod(axis=1)
-    cuts = np.searchsorted(np.cumsum(total), np.arange(rows, total.sum(), rows))
-    for lo, hi in itertools.pairwise([0, *sorted({*cuts.tolist(), len(heads)})]):
-        at, s, t = heads[lo:hi], sizes[lo:hi], total[lo:hi]
-        i = np.repeat(np.arange(hi - lo), t)
-        r = np.arange(t.sum()) - np.repeat(np.cumsum(t) - t, t)
-        nodes = []
-        for q in reversed(range(len(trees))):  # r in mixed radix, last tree fastest
-            nodes.insert(0, P[trees[q], 1 + r % s[i, q], at[i]].astype(np.intp))
-            r //= s[i, q]
-        yield [*nodes, at[i], w[at[i]]]
+    for _, A in _ancestor_blocks(k, np.flatnonzero(keep)):
+        heads = A[0, 0]  # the block's nodes, their own 0-th ancestors
+        sizes = depth[heads][:, trees].astype(np.intp) - 1
+        total = sizes.prod(axis=1)
+        cuts = np.searchsorted(np.cumsum(total), np.arange(rows, total.sum(), rows))
+        for lo, hi in itertools.pairwise([0, *sorted({*cuts.tolist(), len(heads)})]):
+            s, t = sizes[lo:hi], total[lo:hi]
+            i = np.repeat(np.arange(hi - lo), t)
+            r = np.arange(t.sum()) - np.repeat(np.cumsum(t) - t, t)
+            nodes = []
+            for q in reversed(range(len(trees))):  # r in mixed radix, last tree fastest
+                nodes.insert(0, A[trees[q], 1 + r % s[i, q], lo + i])
+                r //= s[i, q]
+            at = heads[lo + i]
+            yield [*nodes, at, w[at]]
 
 
 def _ranked(key: np.ndarray, v: np.ndarray, w: np.ndarray):
     """(key, v, w, rank) sorted by key, best w first: rank counts from 0 per key."""
-    order = np.argsort(key * 256 - w, kind="stable")  # w < 256
+    order = np.argsort(key * (int(w.max(initial=0)) + 1) - w, kind="stable")
     key, v, w = key[order], v[order], w[order]
     return key, v, w, np.arange(len(key)) - np.searchsorted(key, key)
 
@@ -334,11 +340,11 @@ def fault_singles(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(Sv, Sw), each [n, 3]: for a fault u, the three best distinct v with u
     inside a root path of v, best first, valued LUT[v, that tree].  f = 1
     reads Sw[u, 0]; three make the best two that are not a second fault."""
-    P, depth, _ = root_paths(k)
+    n, LUT = node_count(k), root_paths(k)[1]
     found = zip(*(c for j in range(4) for c in _path_choices(k, (j,), BLOCK_NODES)))
     u, v, w, rank = _ranked(*map(np.concatenate, found))
-    Sv = np.zeros((len(depth), 3), dtype=P.dtype)
-    Sw = np.full((len(depth), 3), k, dtype=np.uint8)
+    Sv = np.zeros((n, 3), dtype=np.promote_types(np.min_scalar_type(n - 1), np.uint16))
+    Sw = np.full((n, 3), k, dtype=LUT.dtype)
     top = rank < 3
     Sv[u[top], rank[top]], Sw[u[top], rank[top]] = v[top], w[top]
     return _shared(Sv, Sw)
@@ -359,13 +365,13 @@ def fault_pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     f = 2 reads W, f = 3 triple_values, with no triple term: a fault in three
     of v's paths beats its pair values only if its fourth tree is its one
     deepest, which is refused.  Built in blocks: the peak stays near 4 n^2."""
-    depth = root_paths(k)[1]
+    depth = root_paths(k)[0]
     deepest = depth.max(axis=1)
     if np.any(((depth == deepest[:, None]).sum(axis=1) == 1) & (deepest > k)):
         raise AssertionError(f"k={k}: a node has one deepest tree, so triples need a term")
     Sv, Sw = fault_singles(k)
     n, cells = len(depth), np.arange(len(depth))
-    V, W, W2 = (np.empty((n, n), dtype=t) for t in (Sv.dtype, np.uint8, np.uint8))
+    V, W, W2 = (np.empty((n, n), dtype=t) for t in (Sv.dtype, Sw.dtype, Sw.dtype))
     rows = max(1, 32 * BLOCK_NODES // n)  # about 2^16 cells a block of rows x
     for x in map(slice, range(0, n, rows), range(rows, n + rows, rows)):
         block = 0, k, k  # x's singles along rows and y's along columns, never v = y or x
@@ -531,22 +537,20 @@ _PARENT_DIR = np.array([0, *(DIRECTIONS.index(parent_child_spec(r, 1)[0]) for r 
 def verify_independence(k: int) -> tuple[bool, tuple | None]:
     """Check all root paths pairwise share only their endpoints.
 
-    Reads root_paths' P, BLOCK_NODES nodes at a time, so memory stays
-    O(n k): a nonzero entry repeated among v's ancestors P[:, s >= 1, v] is
+    Reads each ancestor block of _ancestor_blocks in turn, so memory stays
+    bounded: a nonzero entry repeated among v's ancestors A[:, s >= 1, v] is
     an interior node u on two of its paths.  Returns (True, None), or
     (False, (v, j, j', u)) for the first such v in node order, its smallest
     u, and the first two trees whose path to v holds u.
     """
     _check_tree_k(k)
-    P = root_paths(k)[0]
-    for lo in range(0, P.shape[2], BLOCK_NODES):
-        rows = np.sort(P[:, 1:, lo:lo + BLOCK_NODES].reshape(8 * k, -1).T)
+    for lo, A in _ancestor_blocks(k, np.arange(node_count(k))):
+        rows = np.sort(A[:, 1:].reshape(8 * k, -1).T)
         repeated = (rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] != 0)
         hit = repeated.any(axis=1)
         if hit.any():
             at = hit.argmax()
-            v, u = lo + at, rows[at, 1:][repeated[at]].min()
-            j, j2 = [t + 1 for t in range(4) if u in P[t, 1:, v]][:2]
-            nodes = network(k).nodes
-            return False, (nodes[v], j, j2, nodes[u])
+            u = rows[at, 1:][repeated[at]].min()
+            j, j2 = [t + 1 for t in range(4) if u in A[t, 1:, at]][:2]
+            return False, (network(k).nodes[lo + at], j, j2, network(k).nodes[u])
     return True, None

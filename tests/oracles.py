@@ -15,6 +15,7 @@ from gaussnet.core import (
     distances_from,
     is_canonical,
     network,
+    node_count,
     reduce,
     region_codes,
     residue,
@@ -25,22 +26,35 @@ from gaussnet.core import (
 def reach_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     """(B, LUT) over the residues: B[u, v] (uint8) is a 4-bit mask, bit j-1
     for tree j, of the trees whose root path to v contains u; both endpoints
-    count, so B[v, v] == 15.  B is read from root_paths' P, one ancestor row
-    at a time, and LUT is root_paths' own.  Under fault set F node v first
-    receives in round LUT[v, OR_{u in F} B[u, v]], and a faulty v reads 0.
+    count, so B[v, v] == 15.  B is read from trees._ancestor_blocks, one
+    ancestor row of a block at a time, and LUT is root_paths' own.  Under
+    fault set F node v first receives in round LUT[v, OR_{u in F} B[u, v]],
+    and a faulty v reads 0.
 
     Not cached, and read through trees.root_paths, so forged trees reach it;
     B takes n^2 bytes, so it is for the small k of the tests.
     """
-    P, _, LUT = trees.root_paths(k)
-    n = P.shape[2]
-    cols = np.arange(n)
+    LUT = trees.root_paths(k)[1]
+    n = len(LUT)
     B = np.zeros((n, n), dtype=np.uint8)
     flat = B.reshape(-1)  # a view: a 1-D index is cheaper than B[anc, cols]
-    for j in range(4):
-        for anc in P[j]:
-            flat[anc.astype(np.intp) * n + cols] |= 1 << j
+    for lo, A in trees._ancestor_blocks(k, np.arange(n)):
+        cols = np.arange(lo, lo + A.shape[2])
+        for j in range(4):
+            for anc in A[j]:
+                flat[anc * n + cols] |= 1 << j
     return (*trees._shared(B), LUT)
+
+
+def children_by_lists(k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """trees._children(k) built one list per node: each node of each parent
+    row appended to its parent's list, in residue order."""
+    n = node_count(k)
+    out = [[[] for _ in range(n)] for _ in range(4)]
+    for j, row in enumerate(trees.parent_rows(k).tolist()):
+        for i, p in enumerate(row[1:], start=1):
+            out[j][p].append(i)
+    return tuple(tuple(map(tuple, tree)) for tree in out)
 
 
 def run_by_dict(config) -> tuple[dict[GaussInt, int], int, tuple[int, ...]]:

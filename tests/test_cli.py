@@ -193,19 +193,22 @@ def _forged_function(module, name, forge):
 
 
 def _deeper_node_1(tables):
-    P, depth, LUT = tables
+    depth, LUT = tables
     depth = depth.copy()
     depth[1, 0] = 9  # node 1, whose tree-1 depth is 1
-    return P, depth, LUT
+    return depth, LUT
 
 
-def _tree_2_through_tree_1(tables):
+def _tree_2_through_tree_1(real):
     # the first node two deep in trees 1 and 2 gets tree 1's parent in tree 2's path
-    P, depth, LUT = tables
-    r = int(((depth[:, 0] >= 2) & (depth[:, 1] >= 2)).argmax())
-    P = P.copy()
-    P[1, 1, r] = P[0, 1, r]
-    return P, depth, LUT
+    def blocks(k, nodes):
+        depth = trees.root_paths(k)[0]
+        r = int(((depth[:, 0] >= 2) & (depth[:, 1] >= 2)).argmax())
+        for lo, A in real(k, nodes):
+            at = A[0, 0] == r
+            A[1, 1, at] = A[0, 1, at]
+            yield lo, A
+    return blocks
 
 
 def _dropped_child_port(rows):
@@ -226,7 +229,7 @@ VERIFY_ROWS = ("topology", "partition", "spanning", "height", "rotation", "path-
      "tree j = rho^(j-1) of tree 1"),
     ("path-words", _forged_function(cli, "path_word", lambda real: lambda v, k: real(-v, k)),
      "word table matches tree 1"),
-    ("independence", _forged_table(trees.root_paths, _tree_2_through_tree_1),
+    ("independence", _forged_function(trees, "_ancestor_blocks", _tree_2_through_tree_1),
      "2: trees 1 and 2 share 1"),
     ("router-oracle", _forged_table(router._grid_rows, lambda rows: (None,) * len(rows)),
      "routes equal tree paths"),

@@ -230,11 +230,19 @@ def test_one_node_check():
 
 def test_one_spanning_check():
     # a parent table that is not four spanning trees of height <= 2k is
-    # refused, and its defect worded, in one place: verify's spanning row
-    # prints the reason and root_paths raises it
+    # refused, and its defect worded, in one place: root_paths raises the
+    # reason from its one walk, and verify's spanning row prints it
     found = [f"{p.stem}.{name}" for p in SOURCES
              for name in raisers(p.read_text(), "parent cycle", ast.FunctionDef)]
-    assert found == ["trees.unspanned"]
+    assert found == ["trees.root_paths"]
+
+
+def test_trees_fix_no_value_width():
+    # root_paths takes the depths' and values' dtype from k, and every table
+    # built on them takes theirs: 2k reaches 256 at k = 128
+    source = (ROOT / "src" / "gaussnet" / "trees.py").read_text()
+    constants = {c.value for c in ast.walk(ast.parse(source)) if isinstance(c, ast.Constant)}
+    assert "uint8" not in named(source) and 256 not in constants
 
 
 def comprehensions(source: str, names: set[str]) -> dict[str, list[int]]:

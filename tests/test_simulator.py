@@ -121,6 +121,12 @@ class TestRun:
         assert sim.messages_sent == 6 * k * k + 6 * k + 4
         assert len(sim.first_receipt) == 2 * k * k + 2 * k + 1
 
+    def test_one_fault_past_one_byte(self):
+        # k = 128: one fault at 1 holds a node back to round 2k = 256, the
+        # f = 1 sweep's maximum, which no uint8 value holds
+        sim = run(SimConfig(k=128, faults=frozenset({GaussInt(1, 0)})))
+        assert sim.last_active_round == sweep(128, 1).max_max == 256
+
     def test_k3_fault_free_rounds(self):
         assert run(SimConfig(k=3)).last_active_round == 4
 
@@ -581,7 +587,7 @@ class TestKernel:
                 assert [len(b) for b in blocks] == np.diff(cuts).tolist()
                 assert np.array_equal(np.concatenate(blocks), want), (f, cuts)
 
-    @pytest.mark.parametrize("k", range(2, 31))
+    @pytest.mark.parametrize("k", [*range(2, 31), 128])
     def test_f1_step_histogram(self, k):
         # one fault delays 4 nodes' runs by each e = 1..k-1
         c = np.array(sweep(k, 1).step_counts)
@@ -650,10 +656,10 @@ class TestDecomposition:
     def test_one_deepest_tree_is_refused(self, monkeypatch):
         # f=3 values have no triple term: the pair table needs every node's
         # deepest tree to be shared, or not deeper than k
-        P, depth, LUT = trees.root_paths(4)
+        depth, LUT = trees.root_paths(4)
         forged = depth.copy()
         forged[7] = (1, 5, 5, 6)
-        monkeypatch.setattr(trees, "root_paths", lambda _k: (P, forged, LUT))
+        monkeypatch.setattr(trees, "root_paths", lambda _k: (forged, LUT))
         with pytest.raises(AssertionError, match="one deepest tree"):
             trees.fault_pairs.__wrapped__(4)
 

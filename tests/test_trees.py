@@ -40,7 +40,7 @@ from gaussnet.trees import (
     verify_independence,
 )
 
-from oracles import classify, reach_tables, region_parent_map
+from oracles import children_by_lists, classify, reach_tables, region_parent_map
 
 
 def n(text: str) -> GaussInt:
@@ -62,6 +62,18 @@ def independence_by_reach(k: int) -> tuple[bool, tuple | None]:
     v, u = hits[0]
     j, j2 = [t + 1 for t in range(4) if B[u, v] >> t & 1][:2]
     return False, (nodes[v], j, j2, nodes[u])
+
+
+def forge_ancestor(monkeypatch, j: int, v: int, u: int) -> None:
+    """Make u the first ancestor of residue v in tree j+1, in every ancestor
+    block that trees._ancestor_blocks yields: v's tree-(j+1) path rewritten."""
+    real = trees._ancestor_blocks
+
+    def forged(k, nodes):
+        for lo, A in real(k, nodes):
+            A[j, 1, A[0, 0] == v] = u
+            yield lo, A
+    monkeypatch.setattr(trees, "_ancestor_blocks", forged)
 
 
 def path_by_parents(tree: SpanningTree, v: GaussInt) -> list[GaussInt]:
@@ -292,6 +304,12 @@ class TestHeight:
         assert t.depth(n("i")) == 10
         assert t.depth(n("-1")) == 10
 
+    def test_deep_nodes_past_one_byte(self):
+        # 2k = 256 does not fit a uint8: the depths widen with k
+        t = build_tree(1, 128)
+        assert t.depth(IMAG) == 256
+        assert len(tree_path(t, IMAG)) == 257
+
     @pytest.mark.parametrize("k", (2, 5, 9))
     def test_depth_is_path_length(self, k):
         for j in (1, 2, 3, 4):
@@ -314,19 +332,15 @@ class TestTreePath:
                 assert tree_path(t, v) == path_by_parents(t, v), (j, v)
 
     def test_follows_root_paths(self, monkeypatch):
-        # tree 2's path to v rewritten in P: tree_path reads P, not tree.parent
-        k = 3
-        P, depth, LUT = root_paths(k)
-        net = network(k)
-        v = n("-2+i")
-        i = net.index(v)
-        d = depth[i, 1]
-        assert d >= 2
-        forged = P.copy()
-        forged[1, 1:d, i] = P[0, 1:d, i]
-        monkeypatch.setattr("gaussnet.trees.root_paths", lambda _k: (forged, depth, LUT))
-        t2 = build_tree(2, k)
-        assert tree_path(t2, v) == [net.nodes[u] for u in forged[1, d::-1, i]]
+        # tree 2's row rewritten as tree 1's: tree_path walks the stored rows
+        # for root_paths' depth, not tree.parent
+        k, v = 3, n("-2+i")
+        t1, t2 = build_tree(1, k), build_tree(2, k)
+        forged = parent_rows(k).copy()
+        forged[1] = forged[0]
+        monkeypatch.setattr("gaussnet.trees.parent_rows", lambda _k: forged)
+        monkeypatch.setattr("gaussnet.trees.root_paths", root_paths.__wrapped__)
+        assert tree_path(t2, v) == path_by_parents(t1, v)
         assert tree_path(t2, v) != path_by_parents(t2, v)
 
     def test_rejects_non_canonical(self):
@@ -394,14 +408,11 @@ class TestIndependence:
 
     def test_reports_shared_interior_node(self, monkeypatch):
         k = 3
-        P, depth, LUT = root_paths(k)
         net = network(k)
         v = n("-2+i")
         u = tree_path(build_tree(1, k), v)[1]
-        forged = P.copy()
-        assert forged[2, 1, net.index(v)] != 0  # an interior node of tree 3's path
-        forged[2, 1, net.index(v)] = net.index(u)  # u also on tree 3's path
-        monkeypatch.setattr("gaussnet.trees.root_paths", lambda _k: (forged, depth, LUT))
+        assert tree_path(build_tree(3, k), v)[-2] != ZERO  # an interior node of tree 3's path
+        forge_ancestor(monkeypatch, 2, net.index(v), net.index(u))  # u also on tree 3's path
         assert verify_independence(k) == (False, (v, 1, 3, u))
 
     @pytest.mark.parametrize("k", range(2, 13))
@@ -422,18 +433,16 @@ class TestIndependence:
         assert not ok and (ok, witness) == independence_by_reach(k)
 
     def test_blocks_cover_every_node(self, monkeypatch):
-        # blocks of 4 of the 25 nodes, the last one short: a witness at the
-        # end of a full block, and in the short one
-        k = 3
-        P, depth, LUT = root_paths(k)
-        monkeypatch.setattr("gaussnet.trees.BLOCK_NODES", 4)
-        assert verify_independence(k) == (True, None)
-        net = network(k)
-        for v in (23, 24):
-            forged = P.copy()
-            forged[3, 1, v] = P[0, 1, v]
-            monkeypatch.setattr("gaussnet.trees.root_paths", lambda _k: (forged, depth, LUT))
-            assert verify_independence(k) == (False, (net.nodes[v], 1, 4, net.nodes[P[0, 1, v]]))
+        # BLOCK_NODES = 1 makes blocks of 16 // k nodes: five full blocks of 5
+        # at k = 3, and at k = 4 ten of 4 and a short one: a witness at the end
+        # of a full block, and in the short one
+        monkeypatch.setattr("gaussnet.trees.BLOCK_NODES", 1)
+        for k, v in ((3, 24), (4, 39), (4, 40)):
+            assert verify_independence(k) == (True, None)
+            net, first = network(k), parent_rows(k)[0, v]
+            with monkeypatch.context() as patch:
+                forge_ancestor(patch, 3, v, first)
+                assert verify_independence(k) == (False, (net.nodes[v], 1, 4, net.nodes[first]))
 
     def test_first_steps_distinct(self):
         for k in (2, 4):
@@ -442,6 +451,12 @@ class TestIndependence:
                     tree_path(build_tree(j, k), v)[1] for j in (1, 2, 3, 4)
                 }
                 assert len(firsts) == 4
+
+
+class TestChildren:
+    @pytest.mark.parametrize("k", [*range(1, 31), 100])
+    def test_matches_per_node_lists(self, k):
+        assert trees._children(k) == children_by_lists(k)
 
 
 class TestReachTables:
@@ -477,7 +492,20 @@ class TestReachTables:
                   fault_triples(k))
         for i, table in enumerate(tables):
             assert table.flags.c_contiguous and not table.flags.writeable, i
-        assert reach_tables(k)[1] is root_paths(k)[2]
+        assert reach_tables(k)[1] is root_paths(k)[1]
+
+    def test_root_paths_holds_no_ancestor_table(self, monkeypatch):
+        # depth and LUT alone, 20 bytes a node at k = 100: no [4, 2k + 1, n]
+        # table of every ancestor (32 MB there)
+        monkeypatch.setattr(core, "_TABLES", {})
+        parent_rows(100)
+        tracemalloc.start()
+        try:
+            root_paths(100)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20, held
 
     def test_fault_pairs_build_peak(self, monkeypatch):
         # singles folded a few rows at a time and pair candidates a chunk at a
